@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 import json
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,7 @@ __all__ = [
     "simulate",
     "estimate_zeta",
     "estimate_deltas",
+    "write_csv",
 ]
 
 _FMT = "%.17g"
@@ -73,11 +75,8 @@ class StructureTable:
         return self.n[sel], self.ln_s[sel], self.se[sel]
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("# " + json.dumps(self.metadata) + "\n")
-            fh.write("p,n,ln_S,se\n")
-            for p, n, ls, se in zip(self.p, self.n, self.ln_s, self.se):
-                fh.write(f"{_FMT % p},{int(n)},{_FMT % ls},{_FMT % se}\n")
+        rows = zip(self.p, self.n, self.ln_s, self.se)
+        write_csv(path, self.metadata, ("p", "n", "ln_S", "se"), rows)
 
     @classmethod
     def from_csv(cls, path) -> "StructureTable":
@@ -103,17 +102,33 @@ class ZetaEstimate:
         return float(self.zeta_hat[i]), float(self.se[i])
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("# " + json.dumps(self.metadata) + "\n")
-            fh.write("p,zeta_hat,se\n")
-            for p, z, se in zip(self.p, self.zeta_hat, self.se):
-                fh.write(f"{_FMT % p},{_FMT % z},{_FMT % se}\n")
+        rows = zip(self.p, self.zeta_hat, self.se)
+        write_csv(path, self.metadata, ("p", "zeta_hat", "se"), rows)
 
     @classmethod
     def from_csv(cls, path) -> "ZetaEstimate":
         meta, rows = _read_csv(path, ("p", "zeta_hat", "se"))
         arr = np.asarray(rows, dtype=float)
         return cls(p=arr[:, 0], zeta_hat=arr[:, 1], se=arr[:, 2], metadata=meta)
+
+
+def _cell(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, (bool, np.bool_)):
+        return str(bool(v)).lower()
+    return _FMT % v  # exact round trip for floats; integers print as integers
+
+
+def write_csv(path, meta: dict, header, rows) -> None:
+    """Write '# {json meta}', the header and the rows to a path or a text stream.
+
+    Booleans are written as true/false and None as an empty cell; _read_csv reads it back.
+    """
+    lines = ["# " + json.dumps(meta), ",".join(header)]
+    lines += [",".join(map(_cell, row)) for row in rows]
+    with nullcontext(path) if hasattr(path, "write") else open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _read_csv(path, expected_header):

@@ -30,6 +30,21 @@ def real(text: str) -> float:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
 
 
+def _int_at_least(lo: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse reports a non-integer as "invalid int value"
+    return parse
+
+
+positive_int = _int_at_least(1)
+non_negative_int = _int_at_least(0)
+
+
 def eps_grid(text: str) -> list:
     """Parse 'hi:lo' into a decade grid, e.g. 1e-1:1e-6."""
     try:
@@ -54,7 +69,7 @@ def _add_law_flags(sp, require_r=True):
     sp.add_argument("--bigC", type=real, required=True, help="concentration amplitude C")
     sp.add_argument("--gamma", type=real, default=None,
                     help="linear drift (default: mean-one conservation value)")
-    sp.add_argument("--k", type=int, default=1, help="hierarchy step")
+    sp.add_argument("--k", type=positive_int, default=1, help="hierarchy step")
     if require_r:
         sp.add_argument("--r", type=real, required=True, help="scale ratio in (0,1)")
 
@@ -120,21 +135,15 @@ def cmd_stability(args) -> int:
         "preset": args.preset, "r": args.r, "k": args.k, "beta": args.beta,
         "bigC": args.bigC, "seed": args.seed, "samples": args.samples,
     }
-    lines = ["# " + json.dumps(meta), "epsilon,w1_levy,bound,bound_ok,w1_multiplier"]
-    for rep in rows:
-        w1m = "" if rep.w1_multiplier is None else "%.17g" % rep.w1_multiplier
-        lines.append(
-            "%.17g,%.17g,%.17g,%s,%s"
-            % (rep.epsilon, rep.w1_levy, rep.big_k * math.sqrt(rep.epsilon),
-               str(rep.bound_ok).lower(), w1m)
-        )
-    text = "\n".join(lines) + "\n"
+    header = ("epsilon", "w1_levy", "bound", "bound_ok", "w1_multiplier")
+    table = [
+        (rep.epsilon, rep.w1_levy, rep.big_k * math.sqrt(rep.epsilon), rep.bound_ok,
+         rep.w1_multiplier)
+        for rep in rows
+    ]
+    cascade.write_csv(args.out or sys.stdout, meta, header, table)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
         print(f"wrote {args.out}")
-    else:
-        print(text, end="")
     return 0 if all(rep.bound_ok for rep in rows) else 1
 
 
@@ -188,16 +197,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hscascade",
         description="Hierarchical-symmetry analysis of multiplicative cascades",
     )
-    ap.add_argument("--threads", type=int, default=0,
-                    help="cap internal parallelism (results are identical regardless)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("simulate", help="simulate a cascade and estimate exponents")
-    sp.add_argument("--gen", choices=["log-poisson"], default="log-poisson")
     _add_law_flags(sp)
-    sp.add_argument("--levels", type=int, default=8)
-    sp.add_argument("--samples", type=int, default=100_000)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--levels", type=positive_int, default=8)
+    sp.add_argument("--samples", type=positive_int, default=100_000)
+    sp.add_argument("--seed", type=non_negative_int, default=0)
     sp.add_argument("--mean-one", action="store_true", help="normalize the generator to E[W]=1")
     sp.add_argument("--out-structure", default="structure.csv")
     sp.add_argument("--out-zeta", default="zeta.csv")
@@ -205,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("analyze", help="classify/characterize a zeta-estimate CSV")
     sp.add_argument("zeta_csv")
-    sp.add_argument("--k", type=int, required=True)
+    sp.add_argument("--k", type=positive_int, required=True)
     sp.add_argument("--r", type=real, required=True)
     sp.add_argument("--tol", type=real, default=None)
     sp.add_argument("--out", default=None)
@@ -214,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("spectrum", help="tabulate the multifractal spectrum")
     _add_law_flags(sp, require_r=False)
     sp.add_argument("--d", type=real, default=1.0, help="support dimension")
-    sp.add_argument("--points", type=int, default=101)
+    sp.add_argument("--points", type=positive_int, default=101)
     sp.add_argument("--out", default="spectrum.csv")
     sp.set_defaults(func=cmd_spectrum)
 
@@ -223,19 +229,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--preset", choices=["split", "leak", "smear"], default="split")
     sp.add_argument("--eps-grid", type=eps_grid, default=eps_grid("1e-1:1e-6"))
     sp.add_argument("--u2", type=real, default=0.3, help="leak target location")
-    sp.add_argument("--samples", type=int, default=0,
+    sp.add_argument("--samples", type=non_negative_int, default=0,
                     help="also estimate multiplier-level W1 with this many samples")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=non_negative_int, default=0)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_stability)
 
     sp = sub.add_parser("classify-family", help="verdict table for the principal families")
     sp.add_argument("--r", type=real, default=0.5)
-    sp.add_argument("--k", type=int, default=3)
+    sp.add_argument("--k", type=positive_int, default=3)
     sp.add_argument("--beta", type=real, default=2.0 / 3.0)
     sp.add_argument("--bigC", type=real, default=2.0)
     sp.add_argument("--gamma", type=real, default=None)
-    sp.add_argument("--m-max", type=int, default=25)
+    sp.add_argument("--m-max", type=positive_int, default=25)
     sp.set_defaults(func=cmd_classify_family)
 
     sp = sub.add_parser("determinacy", help="Carleman determinacy verdict for a generator")
@@ -246,9 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--beta", type=real, default=2.0 / 3.0)
     sp.add_argument("--bigC", type=real, default=2.0)
     sp.add_argument("--gamma", type=real, default=1.0 / 9.0)
-    sp.add_argument("--k", type=int, default=3)
+    sp.add_argument("--k", type=positive_int, default=3)
     sp.add_argument("--r", type=real, default=0.5)
-    sp.add_argument("--P", type=int, default=200)
+    sp.add_argument("--P", type=positive_int, default=200)
     sp.add_argument("--threshold", type=real, default=1e-6)
     sp.set_defaults(func=cmd_determinacy)
 
@@ -256,7 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "gen", None) == "json" and args.gen_json is None:
+        parser.error("--gen json requires --gen-json")
     try:
         return args.func(args)
     except (ValueError, OverflowError, OSError, KeyError) as exc:

@@ -27,18 +27,19 @@ __all__ = [
     "zeta",
     "delta",
     "a1_step",
+    "recurrence_residual",
     "law_from_deltas",
     "conservation_gamma",
     "spectrum_width",
 ]
 
 
-def _check_order(p: float) -> float:
-    p = float(p)
-    if not math.isfinite(p):
-        raise ValueError(f"moment order must be finite, got {p!r}")
-    if p < 0:
-        raise ValueError(f"moment order must be >= 0, got {p}")
+def _check_order(p):
+    """p as a float, or as a float array for array input; rejects nan, inf and p < 0."""
+    scalar = isinstance(p, (int, float)) or np.ndim(p) == 0  # isinstance: fast path
+    p = float(p) if scalar else np.asarray(p, dtype=float)
+    if not (0.0 <= p < math.inf if scalar else ((p >= 0) & (p < math.inf)).all()):
+        raise ValueError(f"moment order must be finite and >= 0, got {p}")
     return p
 
 
@@ -143,14 +144,14 @@ class DeltaSeries:
         return len(self.m)
 
 
-def zeta(law: ScalingLaw, p: float) -> float:
-    """Scaling exponent zeta_p = gamma*p + C*(1 - beta**(p/k))."""
+def zeta(law: ScalingLaw, p):
+    """Scaling exponent zeta_p = gamma*p + C*(1 - beta**(p/k)), scalar or array p."""
     p = _check_order(p)
     return law.gamma * p + law.big_c * (1.0 - law.beta ** (p / law.k))
 
 
-def delta(law: ScalingLaw, p: float) -> float:
-    """Incremental exponent delta_p = delta_inf + (delta0 - delta_inf)*beta**(p/k)."""
+def delta(law: ScalingLaw, p):
+    """Incremental exponent delta_inf + (delta0 - delta_inf)*beta**(p/k), scalar or array p."""
     p = _check_order(p)
     return law.delta_inf + (law.delta0 - law.delta_inf) * law.beta ** (p / law.k)
 
@@ -159,6 +160,18 @@ def a1_step(delta_p: float, beta: float, delta_inf: float) -> float:
     """One application of the contraction: (1-beta)*delta_inf + beta*delta_p."""
     beta = _check_beta(beta)
     return (1.0 - beta) * delta_inf + beta * delta_p
+
+
+def recurrence_residual(m, delta, beta: float, delta_inf: float) -> float:
+    """sup over consecutive orders (m, m+1) of |delta_{m+1} - (1-beta)*delta_inf - beta*delta_m|.
+
+    m is strictly increasing; pairs across a gap in m are skipped, and a
+    series without any consecutive pair has residual 0.
+    """
+    d = np.asarray(delta, dtype=float)
+    pair = np.diff(np.asarray(m)) == 1
+    resid = d[1:][pair] - (1.0 - beta) * delta_inf - beta * d[:-1][pair]
+    return float(np.abs(resid).max(initial=0.0))
 
 
 def law_from_deltas(delta0: float, delta_inf: float, beta: float, k: int) -> ScalingLaw:
@@ -190,11 +203,3 @@ def spectrum_width(law: ScalingLaw) -> float:
     """Width of the multifractal spectrum, (C/k)*|ln beta|."""
     return (law.big_c / law.k) * abs(math.log(law.beta))
 
-
-def delta_series_exact(law: ScalingLaw, m_max: int) -> DeltaSeries:
-    """Tabulate delta_{m*k} for m = 0..m_max from the closed form."""
-    if m_max < 1:
-        raise ValueError("m_max must be >= 1")
-    ms = np.arange(m_max + 1)
-    vals = law.delta_inf + (law.delta0 - law.delta_inf) * law.beta ** ms.astype(float)
-    return DeltaSeries(k=law.k, m=tuple(ms), delta=tuple(vals))

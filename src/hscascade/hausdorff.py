@@ -14,7 +14,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import optimize
 
+from .exponents import recurrence_residual
 from .generators import (
     LevyGenerator,
     LogPoissonParams,
@@ -215,9 +217,7 @@ def a1_residual_vs_reference(gen, ref: LogPoissonParams, r: float, k: int, m_max
     beta = math.exp(ref.b * k)
     delta_inf = ref.a * k / math.log(r)
     series = delta_series_analytic(gen, r, k, m_max + 1)
-    d = np.asarray(series.delta)
-    resid = d[1:] - (1.0 - beta) * delta_inf - beta * d[:-1]
-    return float(np.abs(resid).max())
+    return recurrence_residual(series.m, series.delta, beta, delta_inf)
 
 
 def verify_stability(
@@ -320,22 +320,18 @@ def smear_perturbation(
 def split_width_for_epsilon(
     ref: LogPoissonParams, r: float, k: int, eps_target: float, m_max: int = 40
 ) -> float:
-    """Invert s -> epsilon(s) for the symmetric-split family by bisection."""
+    """Invert s -> epsilon(s) for the symmetric-split family.
+
+    Brent's root finder (brentq) runs in ln s over [1e-12, 0.999*min(beta, 1-beta)];
+    a target outside the epsilon range of that bracket is unreachable.
+    """
     beta = math.exp(ref.b * k)
-    s_hi = min(beta, 1.0 - beta) * 0.999
-    s_lo = 1e-12
 
-    def eps_of(s):
-        return a1_residual_vs_reference(split_perturbation(ref, k, s), ref, r, k, m_max)
+    def excess(ln_s):
+        pert = split_perturbation(ref, k, math.exp(ln_s))
+        return a1_residual_vs_reference(pert, ref, r, k, m_max) - eps_target
 
-    if eps_of(s_hi) < eps_target:
+    lo, hi = math.log(1e-12), math.log(min(beta, 1.0 - beta) * 0.999)
+    if not excess(lo) <= 0.0 <= excess(hi):  # also rejects a nan target
         raise ValueError(f"epsilon target {eps_target} unreachable for this family")
-    for _ in range(200):
-        mid = math.sqrt(s_lo * s_hi)
-        if eps_of(mid) < eps_target:
-            s_lo = mid
-        else:
-            s_hi = mid
-        if s_hi / s_lo < 1.0 + 1e-12:
-            break
-    return math.sqrt(s_lo * s_hi)
+    return math.exp(optimize.brentq(excess, lo, hi, xtol=1e-12))

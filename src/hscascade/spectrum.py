@@ -12,17 +12,16 @@ refinement.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import optimize
 
+from .cascade import write_csv
 from .exponents import ScalingLaw, spectrum_width, zeta
 
 __all__ = ["SpectrumCurve", "f_closed", "f_legendre", "spectrum_curve", "h_interval"]
-
-_FMT = "%.17g"
 
 
 def h_interval(law: ScalingLaw) -> tuple:
@@ -51,7 +50,12 @@ def f_closed(law: ScalingLaw, d: float, h: float) -> float:
 def f_legendre(
     law: ScalingLaw, d: float, h: float, p_max: float | None = None, grid: int = 10_000
 ) -> float:
-    """Numerical inf_p [p*h - zeta_p + d] over p >= 0; oracle for f_closed."""
+    """Numerical inf_p [p*h - zeta_p + d] over p >= 0; oracle for f_closed.
+
+    The best of `grid` log-spaced orders is refined by bounded Brent on
+    the two cells around it; the search is repeated on a doubled grid and
+    a shift of the inf by more than 1e-6 is an error.
+    """
     _x_of(law, h)  # domain check
     if p_max is None:
         # large enough that beta**(p_max/k) < 1e-8
@@ -64,21 +68,12 @@ def f_legendre(
 
     def grid_min(n):
         ps = np.concatenate([[0.0], np.exp(np.linspace(math.log(1e-6), math.log(p_max), n))])
-        vals = ps * h - (law.gamma * ps + law.big_c * (1.0 - law.beta ** (ps / law.k))) + d
-        i = int(np.argmin(vals))
-        # local ternary refinement around the best node
-        lo = ps[max(i - 1, 0)]
-        hi = ps[min(i + 1, len(ps) - 1)]
-        for _ in range(200):
-            m1 = lo + (hi - lo) / 3.0
-            m2 = hi - (hi - lo) / 3.0
-            if objective(m1) <= objective(m2):
-                hi = m2
-            else:
-                lo = m1
-            if hi - lo < 1e-13 * max(1.0, hi):
-                break
-        return min(objective(lo), objective(hi), objective((lo + hi) / 2.0))
+        i = int(np.argmin(objective(ps)))
+        # bounded Brent on the cell pair around the best node; the ends
+        # cover an inf on the p >= 0 or p = p_max boundary
+        lo, hi = ps[max(i - 1, 0)], ps[min(i + 1, len(ps) - 1)]
+        res = optimize.minimize_scalar(objective, bounds=(lo, hi), method="bounded")
+        return min(res.fun, objective(lo), objective(hi))
 
     coarse = grid_min(grid)
     fine = grid_min(2 * grid)
@@ -111,11 +106,7 @@ class SpectrumCurve:
             "d": self.d,
             "negative_f": self.has_negative_values,
         }
-        with open(path, "w") as fh:
-            fh.write("# " + json.dumps(meta) + "\n")
-            fh.write("h,f\n")
-            for h, f in zip(self.h, self.f):
-                fh.write(f"{_FMT % h},{_FMT % f}\n")
+        write_csv(path, meta, ("h", "f"), zip(self.h, self.f))
 
 
 def spectrum_curve(law: ScalingLaw, d: float, n_points: int) -> SpectrumCurve:

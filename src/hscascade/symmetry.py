@@ -16,12 +16,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
+from scipy import optimize
 
-from .exponents import DeltaSeries, ScalingLaw, law_from_deltas
+from .exponents import DeltaSeries, ScalingLaw, law_from_deltas, recurrence_residual
 from .generators import LogPoissonParams, logpoisson_from_scaling
 
 __all__ = ["A1Fit", "A1Report", "fit_a1", "classify", "characterize"]
@@ -93,32 +94,20 @@ def _weights(series: DeltaSeries) -> np.ndarray:
     return 1.0 / np.maximum(se, floor) ** 2
 
 
-def _sse_at(q: float, m: np.ndarray, d: np.ndarray, w: np.ndarray) -> tuple:
-    """Weighted LS of d = delta_inf + D*q**m at fixed q; returns (sse, delta_inf, D)."""
-    x = q**m
-    sw, sx, sxx = w.sum(), w @ x, w @ x**2
-    sy, sxy = w @ d, w @ (x * d)
+def _ls_fit(q, m: np.ndarray, d: np.ndarray, w: np.ndarray) -> tuple:
+    """Weighted LS of d = delta_inf + D*q**m at fixed q, scalar or array q.
+
+    Returns (sse, delta_inf, D) with q's shape; sse is inf where the
+    normal equations are singular.
+    """
+    x = np.power.outer(q, m)
+    sw, sx, sxx = w.sum(), x @ w, (x * x) @ w
+    sy, sxy = w @ d, x @ (w * d)
     den = sw * sxx - sx * sx
-    if den <= 0:
-        return math.inf, math.nan, math.nan
     amp = (sw * sxy - sx * sy) / den
     dinf = (sy - amp * sx) / sw
-    resid = d - dinf - amp * x
-    return float(w @ resid**2), float(dinf), float(amp)
-
-
-def _recurrence_residual(series: DeltaSeries, beta: float, delta_inf: float) -> float:
-    """sup over consecutive m of |delta_{m+1} - (1-beta)*delta_inf - beta*delta_m|."""
-    m = np.asarray(series.m)
-    d = np.asarray(series.delta)
-    worst = 0.0
-    idx = {int(mm): i for i, mm in enumerate(m)}
-    for mm, i in idx.items():
-        j = idx.get(mm + 1)
-        if j is None:
-            continue
-        worst = max(worst, abs(d[j] - (1.0 - beta) * delta_inf - beta * d[i]))
-    return worst
+    sse = ((d - np.expand_dims(dinf, -1) - np.expand_dims(amp, -1) * x) ** 2) @ w
+    return np.where(den > 0, sse, np.inf), dinf, amp
 
 
 def fit_a1(series: DeltaSeries) -> A1Fit:
@@ -126,8 +115,10 @@ def fit_a1(series: DeltaSeries) -> A1Fit:
 
     Stage 1 grid-searches the contraction ratio q over (0.001, 0.999)
     with a weighted linear solve for (delta_inf, D) at each node, then
-    refines q by golden section.  Stage 2 recomputes the achieved
-    recurrence residual exactly at the fitted parameters.
+    refines q by Brent's method on the bracket around the best node; a
+    best node at either end of the grid is kept as the fit.  Stage 2
+    recomputes the achieved recurrence residual exactly at the fitted
+    parameters.
     """
     if len(series) < 4:
         raise ValueError(f"need at least 4 series entries, got {len(series)}")
@@ -139,43 +130,28 @@ def fit_a1(series: DeltaSeries) -> A1Fit:
     if np.abs(d - d.mean()).max() <= 1e-10 * max(scale, 1.0):
         # constant series: the contraction ratio is unidentifiable
         mean = float(np.average(d, weights=w))
-        eps = _recurrence_residual(series, 0.5, mean)
+        eps = recurrence_residual(series.m, d, 0.5, mean)
         return A1Fit(math.nan, mean, eps, 0.0, identifiable=False)
 
-    qs = np.exp(np.linspace(math.log(_Q_LO), math.log(_Q_HI), _Q_NODES))
-    x = qs[:, None] ** m[None, :]
-    sw, sy, syy = w.sum(), w @ d, w @ d**2
-    sx, sxx, sxy = x @ w, (x * x) @ w, x @ (w * d)
-    den = sw * sxx - sx * sx
-    amp = (sw * sxy - sx * sy) / den
-    dinf = (sy - amp * sx) / sw
-    sses = (
-        syy - 2.0 * dinf * sy - 2.0 * amp * sxy
-        + dinf**2 * sw + 2.0 * dinf * amp * sx + amp**2 * sxx
-    )
-    best = int(np.argmin(sses))  # smallest q wins ties via argmin
+    # q = e**(ln_lo + u*step) at continuous node index u: Brent's absolute
+    # x-tolerance floor (1e-11) then applies to u, far below one grid step
+    ln_lo, step = math.log(_Q_LO), math.log(_Q_HI / _Q_LO) / (_Q_NODES - 1)
 
-    lo = qs[max(best - 1, 0)]
-    hi = qs[min(best + 1, len(qs) - 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    e = a + invphi * (b - a)
-    fc = _sse_at(c, m, d, w)[0]
-    fe = _sse_at(e, m, d, w)[0]
-    for _ in range(80):
-        if fc < fe:
-            b, e, fe = e, c, fc
-            c = b - invphi * (b - a)
-            fc = _sse_at(c, m, d, w)[0]
-        else:
-            a, c, fc = c, e, fe
-            e = a + invphi * (b - a)
-            fe = _sse_at(e, m, d, w)[0]
-    q_hat = (a + b) / 2.0
-    _, delta_inf, amp = _sse_at(q_hat, m, d, w)
-    eps = _recurrence_residual(series, q_hat, delta_inf)
-    return A1Fit(float(q_hat), delta_inf, eps, amp, identifiable=True)
+    def sse(u):
+        return _ls_fit(np.exp(ln_lo + u * step), m, d, w)[0]
+
+    best = int(np.argmin(sse(np.arange(_Q_NODES))))  # smallest q wins ties via argmin
+    u_hat = best
+    if 0 < best < _Q_NODES - 1:
+        try:
+            bracket = (best - 1, best, best + 1)
+            u_hat = optimize.minimize_scalar(sse, bracket=bracket, method="brent", tol=1e-15).x
+        except ValueError:  # SSE flat to rounding across the bracket: keep the node
+            pass
+    q_hat = math.exp(ln_lo + u_hat * step)
+    _, delta_inf, amp = _ls_fit(q_hat, m, d, w)
+    eps = recurrence_residual(series.m, d, q_hat, delta_inf)
+    return A1Fit(q_hat, float(delta_inf), eps, float(amp), identifiable=True)
 
 
 def default_tolerance(series: DeltaSeries) -> float:
@@ -278,14 +254,4 @@ def characterize(series: DeltaSeries, r: float, k: int, tol: float | None = None
         raise ValueError(
             f"series does not satisfy the hierarchical symmetry (verdict: {report.verdict})"
         )
-    lp = logpoisson_from_scaling(report.law, r)
-    return A1Report(
-        beta_hat=report.beta_hat,
-        delta_inf_hat=report.delta_inf_hat,
-        epsilon_hat=report.epsilon_hat,
-        verdict=report.verdict,
-        law=report.law,
-        logpoisson=lp,
-        m_max=report.m_max,
-        series_digest=report.series_digest,
-    )
+    return replace(report, logpoisson=logpoisson_from_scaling(report.law, r))

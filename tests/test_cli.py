@@ -37,6 +37,38 @@ class TestFlagParsing:
         assert exc.value.code == 2
 
 
+class TestUsageErrors:
+    """Bad flag values exit 2 through argparse, never with a traceback."""
+
+    def usage_error(self, capsys, *argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "usage:" in err and "Traceback" not in err
+        return err
+
+    def test_gen_json_without_document(self, capsys):
+        err = self.usage_error(capsys, "determinacy", "--gen", "json")
+        assert "--gen-json" in err
+
+    def test_zero_hierarchy_step(self, capsys, tmp_path):
+        # without --gamma the mean-one drift divides by k
+        self.usage_error(capsys, "spectrum", "--beta", "2/3", "--bigC", "2", "--k", "0",
+                         "--out", str(tmp_path / "x.csv"))
+
+    def test_negative_seed(self, capsys, tmp_path):
+        self.usage_error(capsys, "simulate", "--beta", "2/3", "--bigC", "2", "--r", "0.5",
+                         "--samples", "1000", "--seed", "-1",
+                         "--out-structure", str(tmp_path / "s.csv"),
+                         "--out-zeta", str(tmp_path / "z.csv"))
+
+    def test_removed_flags(self, capsys):
+        self.usage_error(capsys, "--threads", "2", "classify-family")
+        self.usage_error(capsys, "simulate", "--gen", "log-poisson", "--beta", "2/3",
+                         "--bigC", "2", "--r", "0.5")
+
+
 class TestSimulateAnalyze:
     def test_round_trip(self, tmp_path, capsys):
         structure = tmp_path / "structure.csv"
@@ -123,6 +155,18 @@ class TestStability:
             eps, w1, bound, ok, _ = line.split(",")
             assert ok == "true"
             assert float(w1) <= float(bound) + 1e-12
+
+
+    def test_split_sweep_to_stdout(self, capsys):
+        code, out, _ = run(
+            capsys, "stability", "--beta", "2/3", "--bigC", "2", "--gamma", "1/9",
+            "--k", "3", "--r", "0.5", "--eps-grid", "1e-2:1e-3",
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert json.loads(lines[0][1:])["preset"] == "split"
+        assert lines[1] == "epsilon,w1_levy,bound,bound_ok,w1_multiplier"
+        assert [line.split(",")[3:] for line in lines[2:]] == [["true", ""]] * 2
 
 
 class TestClassifyFamily:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hscascade.exponents import (
     CascadeParams,
@@ -11,6 +13,7 @@ from hscascade.exponents import (
     conservation_gamma,
     delta,
     law_from_deltas,
+    recurrence_residual,
     spectrum_width,
     zeta,
 )
@@ -27,6 +30,45 @@ def random_law(rng):
     )
 
 
+def pairwise_residual(m, d, beta, delta_inf):
+    """Reference: sup of |d_{m+1} - (1-beta)*delta_inf - beta*d_m| over m with m+1 present."""
+    idx = {mm: i for i, mm in enumerate(m)}
+    worst = 0.0
+    for mm, i in idx.items():
+        j = idx.get(mm + 1)
+        if j is not None:
+            worst = max(worst, abs(d[j] - (1.0 - beta) * delta_inf - beta * d[i]))
+    return worst
+
+
+class TestRecurrenceResidual:
+    def test_gapped_orders_skip_the_gap(self):
+        d = [1.0, 0.5, 100.0, 0.3]
+        # pairs (0,1) and (3,4) only; the jump from m=1 to m=3 is ignored
+        got = recurrence_residual((0, 1, 3, 4), d, 0.5, 0.2)
+        assert got == max(abs(0.5 - 0.1 - 0.5), abs(0.3 - 0.1 - 50.0))
+        assert got == pairwise_residual((0, 1, 3, 4), d, 0.5, 0.2)
+
+    def test_no_consecutive_pair(self):
+        assert recurrence_residual((0, 2, 4), [1.0, 2.0, 3.0], 0.5, 0.0) == 0.0
+
+    @given(
+        rest=st.sets(st.integers(1, 30), max_size=15),
+        data=st.data(),
+        beta=st.floats(0.01, 0.99),
+        delta_inf=st.floats(-5.0, 5.0),
+    )
+    def test_matches_pairwise_definition(self, rest, data, beta, delta_inf):
+        m = (0, *sorted(rest))
+        d = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=len(m), max_size=len(m)))
+        assert recurrence_residual(m, d, beta, delta_inf) == pairwise_residual(m, d, beta, delta_inf)
+
+    def test_contraction_series_has_zero_residual(self):
+        ms = np.arange(12)
+        d = [delta(SL, 3.0 * m) for m in ms]
+        assert recurrence_residual(ms, d, SL.beta, SL.delta_inf) < 1e-15
+
+
 class TestZeta:
     def test_zero_order(self):
         assert zeta(SL, 0.0) == 0.0
@@ -37,6 +79,14 @@ class TestZeta:
         assert zeta(SL, 2.0) == pytest.approx(2.0 / 9.0 + 2.0 * (1.0 - (2.0 / 3.0) ** (2.0 / 3.0)), abs=1e-12)
         assert zeta(SL, 2.0) == pytest.approx(0.695936, abs=1e-6)
         assert zeta(SL, 6.0) == pytest.approx(2.0 / 3.0 + 2.0 * 5.0 / 9.0, abs=1e-12)
+
+    def test_array_orders(self):
+        ps = np.array([[0.0, 1.5], [3.0, 6.0]])
+        got = zeta(SL, ps)
+        assert got.shape == ps.shape
+        assert np.array_equal(got, [[zeta(SL, p) for p in row] for row in ps])
+        with pytest.raises(ValueError):
+            zeta(SL, np.array([1.0, -1.0]))
 
     def test_rejects_bad_orders(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy import integrate
 
 from hscascade.exponents import ScalingLaw, zeta
 from hscascade.generators import (
@@ -264,3 +268,80 @@ class TestValidation:
         assert g.atoms == ((SL_LP.b, SL_LP.lam),)
         with pytest.raises(TypeError):
             as_levy("nope")
+
+
+# --- property tests ----------------------------------------------------
+
+PINNED_TAIL = StableTail(alpha=1.5, c=1.0, x_min=1e-6, x_max=1.0)
+
+
+def tail_psi_reference(tail, p):
+    """Adaptive quad in t = ln|x| of expm1(-p*e**t) * c*e**(-alpha*t).
+
+    Independent of ln_moment's fixed rule; quad in x itself fails on
+    wide tails.
+    """
+    def f(t):
+        return math.expm1(-p * math.exp(t)) * tail.c * math.exp(-tail.alpha * t)
+
+    lo, hi = math.log(tail.x_min), math.log(tail.x_max)
+    return integrate.quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+
+@st.composite
+def tails(draw, max_span=1e6):
+    x_min = draw(st.floats(1e-6, 0.1))
+    return StableTail(
+        alpha=draw(st.floats(0.05, 1.95)),
+        c=draw(st.floats(0.01, 10.0)),
+        x_min=x_min,
+        x_max=x_min * draw(st.floats(1.01, max_span)),
+    )
+
+
+@st.composite
+def generators(draw, negative_only=False):
+    x = st.floats(-3.0, -0.01) if negative_only else st.floats(-3.0, 0.5).filter(
+        lambda v: abs(v) >= 0.01)
+    atoms = draw(st.lists(st.tuples(x, st.floats(0.01, 5.0)), max_size=5))
+    return LevyGenerator(
+        drift=draw(st.floats(-1.0, 1.0)),
+        sigma2=0.0 if negative_only else draw(st.sampled_from([0.0, 0.3])),
+        atoms=tuple(atoms),
+        tail=draw(st.none() | tails()),
+    )
+
+
+class TestLnMomentProperties:
+    def test_pinned_wide_tail(self):
+        # 30-digit mpmath value; adaptive quad in x returned +348.49 here
+        got = ln_moment(LevyGenerator(tail=PINNED_TAIL), 30)
+        assert got == pytest.approx(-59611.90814782221, rel=1e-11)
+
+    @settings(max_examples=60, deadline=None)
+    @given(tail=tails(), p=st.just(0.0) | st.floats(1e-6, 400.0))
+    def test_tail_matches_adaptive_reference(self, tail, p):
+        got = ln_moment(LevyGenerator(tail=tail), p)
+        assert got == pytest.approx(tail_psi_reference(tail, p), rel=1e-11, abs=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(gen=generators(),
+           p=hnp.arrays(float, hnp.array_shapes(min_dims=0, max_dims=3, max_side=4),
+                        elements=st.floats(0.0, 50.0)))
+    def test_array_matches_scalar(self, gen, p):
+        got = ln_moment(gen, p)
+        assert np.shape(got) == p.shape
+        want = np.array([ln_moment(gen, float(v)) for v in p.ravel()]).reshape(p.shape)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(gen=generators(negative_only=True),
+           p=hnp.arrays(float, st.integers(2, 20), elements=st.floats(0.0, 400.0)))
+    def test_negative_jumps_bounded_and_decreasing(self, gen, p):
+        p = np.sort(p)
+        mass = sum(w for _, w in gen.atoms) + (gen.tail.mass if gen.tail else 0.0)
+        jump_part = ln_moment(gen, p) - gen.drift * p
+        tol = 1e-12 * (1.0 + mass + abs(gen.drift) * p[-1])
+        assert np.all(jump_part <= tol)
+        assert np.all(jump_part >= -mass - tol)
+        assert np.all(np.diff(jump_part) <= tol)

@@ -250,3 +250,10 @@ class TestSplitWidthInversion:
     def test_unreachable_target(self):
         with pytest.raises(ValueError, match="unreachable"):
             split_width_for_epsilon(SL_LP, 0.5, 3, 1e6)
+
+    def test_target_below_rounding_floor_unreachable(self):
+        # at s = 1e-12 the residual is rounding noise, far above 1e-30
+        with pytest.raises(ValueError, match="unreachable"):
+            split_width_for_epsilon(SL_LP, 0.5, 3, 1e-30)
+        with pytest.raises(ValueError, match="unreachable"):
+            split_width_for_epsilon(SL_LP, 0.5, 3, math.nan)

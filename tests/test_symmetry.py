@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hscascade.exponents import DeltaSeries, ScalingLaw, delta_series_exact
+from hscascade.exponents import DeltaSeries, ScalingLaw
 from hscascade.generators import (
     LevyGenerator,
     StableTail,
@@ -16,6 +16,13 @@ from hscascade.symmetry import characterize, classify, fit_a1
 SL = ScalingLaw(gamma=1.0 / 9.0, big_c=2.0, beta=2.0 / 3.0, k=3)
 SL_LP = logpoisson_from_scaling(SL, 0.5)
 SL_SERIES = delta_series_analytic(SL_LP, 0.5, 3, 12)
+
+
+def delta_series_exact(law: ScalingLaw, m_max: int) -> DeltaSeries:
+    """delta_{m*k} for m = 0..m_max from the closed form."""
+    ms = np.arange(m_max + 1)
+    vals = law.delta_inf + (law.delta0 - law.delta_inf) * law.beta ** ms.astype(float)
+    return DeltaSeries(k=law.k, m=tuple(ms), delta=tuple(vals))
 
 
 def random_law(rng):
@@ -58,6 +65,20 @@ class TestFitA1:
     def test_needs_four_entries(self):
         with pytest.raises(ValueError):
             fit_a1(DeltaSeries(k=1, m=(0, 1, 2), delta=(1.0, 0.5, 0.25)))
+
+    def test_flat_bracket_keeps_grid_node(self):
+        # weights spanning 15 decades leave the SSE flat to rounding around
+        # the best grid node, so Brent's bracket check fails there
+        series = DeltaSeries(
+            k=1, m=range(4),
+            delta=[-0.23999297111097942, -0.24001250098704602,
+                   -0.2400300198860992, -0.24004573424882109],
+            stderr=[1.0847405983358684, 4.439585321830548e-08,
+                    0.0009043711107910303, 0.018461887074578524],
+        )
+        fit = fit_a1(series)
+        assert fit.identifiable and 0.0 < fit.beta_hat < 1.0
+        assert math.isfinite(fit.epsilon_hat)
 
     def test_weighted_fit_uses_stderr(self):
         exact = delta_series_exact(SL, 8)
