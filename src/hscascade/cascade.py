@@ -9,7 +9,6 @@ the independent branch realizations.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from contextlib import nullcontext
@@ -133,11 +132,8 @@ def write_csv(path, meta: dict, header, rows) -> None:
 
 def _read_csv(path, expected_header):
     meta = {}
-    if isinstance(path, io.TextIOBase):
-        lines = path.read().splitlines()
-    else:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
+    with nullcontext(path) if hasattr(path, "read") else open(path) as fh:
+        lines = fh.read().splitlines()
     i = 0
     if lines and lines[0].startswith("#"):
         meta = json.loads(lines[0][1:].strip() or "{}")
@@ -178,20 +174,13 @@ def simulate(config: SimConfig, gen) -> StructureTable:
     Deterministic given the seed; the p = 0 rows are exactly zero.
     """
     nl, ns = config.n_levels, config.n_samples
-    logw = sample_logW(gen, nl * ns, config.seed).reshape(nl, ns)
-    branch = np.cumsum(logw, axis=0)  # log Phi(r^n) per sample
-
-    ps, ns_col, lns, ses = [], [], [], []
-    for p in config.p_list:
-        for n in range(1, nl + 1):
-            if p == 0.0:
-                ln_s, se = 0.0, 0.0
-            else:
-                ln_s, se = _ln_mean_and_jackknife(p * branch[n - 1])
-            ps.append(p)
-            ns_col.append(n)
-            lns.append(ln_s)
-            ses.append(se)
+    # log Phi(r^n) per sample, one row per level n
+    branch = np.cumsum(sample_logW(gen, nl * ns, config.seed).reshape(nl, ns), axis=0)
+    ln_s, se = np.array([
+        (0.0, 0.0) if p == 0.0 else _ln_mean_and_jackknife(p * level)
+        for p in config.p_list
+        for level in branch
+    ]).T
     meta = {
         "r": config.params.r,
         "k": config.params.k,
@@ -201,7 +190,8 @@ def simulate(config: SimConfig, gen) -> StructureTable:
         "p_list": list(config.p_list),
     }
     return StructureTable(
-        p=np.array(ps), n=np.array(ns_col), ln_s=np.array(lns), se=np.array(ses), metadata=meta
+        p=np.repeat(config.p_list, nl), n=np.tile(np.arange(1, nl + 1), len(config.p_list)),
+        ln_s=ln_s, se=se, metadata=meta,
     )
 
 
@@ -250,18 +240,14 @@ def estimate_deltas(zeta: ZetaEstimate, k: int) -> DeltaSeries:
     """Incremental exponents delta_{mk} = zeta_{(m+1)k} - zeta_{mk} with errors."""
     if k < 1:
         raise ValueError(f"hierarchy step k must be >= 1, got {k}")
-    available = set(zeta.p.tolist())
-    m_max = 0
-    while (m_max + 2) * k in available or float((m_max + 2) * k) in available:
-        m_max += 1
-    needed = [float(m * k) for m in range(m_max + 2)]
-    missing = [p for p in needed if p not in available]
-    if missing or m_max < 1:
-        raise ValueError(f"zeta estimate is missing orders {missing or needed}")
-    deltas, errs = [], []
-    for m in range(m_max + 1):
-        z0, e0 = zeta.value(float(m * k))
-        z1, e1 = zeta.value(float((m + 1) * k))
-        deltas.append(z1 - z0)
-        errs.append(math.hypot(e0, e1))
-    return DeltaSeries(k=k, m=tuple(range(m_max + 1)), delta=tuple(deltas), stderr=tuple(errs))
+    orders, first = np.unique(zeta.p, return_index=True)
+    row = dict(zip(orders.tolist(), first.tolist()))  # order -> its first row
+    rows = []
+    while len(rows) * k in row:  # the run of orders 0, k, 2k, ...
+        rows.append(row[len(rows) * k])
+    if len(rows) < 3:
+        missing = [float(m * k) for m in range(3) if m * k not in row]
+        raise ValueError(f"zeta estimate is missing orders {missing}")
+    e = zeta.se[rows].tolist()
+    return DeltaSeries(k=k, m=range(len(rows) - 1), delta=np.diff(zeta.zeta_hat[rows]),
+                       stderr=[math.hypot(e0, e1) for e0, e1 in zip(e, e[1:])])

@@ -21,13 +21,14 @@ __all__ = ["main"]
 
 
 def real(text: str) -> float:
-    """Parse a numeric flag, accepting exact rationals like 2/3."""
+    """Parse a finite numeric flag, accepting exact rationals like 2/3."""
     try:
-        if "/" in text:
-            return float(Fraction(text))
-        return float(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+        value = float(Fraction(text)) if "/" in text else float(text)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 def _int_at_least(lo: int):

@@ -84,8 +84,10 @@ class ScalingLaw:
 
     def __post_init__(self):
         _check_beta(self.beta)
-        if self.big_c < 0:
-            raise ValueError(f"concentration amplitude must be >= 0, got {self.big_c}")
+        if not math.isfinite(self.gamma):
+            raise ValueError(f"linear drift gamma must be finite, got {self.gamma}")
+        if not 0.0 <= self.big_c < math.inf:
+            raise ValueError(f"concentration amplitude must be finite and >= 0, got {self.big_c}")
         if int(self.k) != self.k or self.k < 1:
             raise ValueError(f"hierarchy step k must be a positive integer, got {self.k}")
         object.__setattr__(self, "k", int(self.k))

@@ -54,10 +54,12 @@ class LogPoissonParams:
     lam: float
 
     def __post_init__(self):
-        if not self.b < 0:
-            raise ValueError(f"jump size b must be < 0, got {self.b}")
-        if not self.lam > 0:
-            raise ValueError(f"Poisson rate must be > 0, got {self.lam}")
+        if not math.isfinite(self.a):
+            raise ValueError(f"drift a must be finite, got {self.a}")
+        if not -math.inf < self.b < 0:
+            raise ValueError(f"jump size b must be finite and < 0, got {self.b}")
+        if not 0 < self.lam < math.inf:
+            raise ValueError(f"Poisson rate must be finite and > 0, got {self.lam}")
 
 
 @dataclass(frozen=True)
@@ -72,8 +74,8 @@ class StableTail:
     def __post_init__(self):
         if not (0.0 < self.alpha < 2.0):
             raise ValueError(f"stable index alpha must lie in (0,2), got {self.alpha}")
-        if not self.c > 0:
-            raise ValueError(f"tail amplitude c must be > 0, got {self.c}")
+        if not 0 < self.c < math.inf:
+            raise ValueError(f"tail amplitude c must be finite and > 0, got {self.c}")
         if not (0.0 < self.x_min < self.x_max < math.inf):
             raise ValueError("tail truncation must satisfy 0 < x_min < x_max < inf")
 
@@ -98,14 +100,18 @@ class LevyGenerator:
     tail: StableTail | None = None
 
     def __post_init__(self):
-        if self.sigma2 < 0:
-            raise ValueError(f"Gaussian variance must be >= 0, got {self.sigma2}")
+        if not math.isfinite(self.drift):
+            raise ValueError(f"drift must be finite, got {self.drift}")
+        if not 0 <= self.sigma2 < math.inf:
+            raise ValueError(f"Gaussian variance must be finite and >= 0, got {self.sigma2}")
         atoms = tuple((float(x), float(w)) for x, w in self.atoms)
         for x, w in atoms:
             if x == 0.0:
                 raise ValueError("jump atoms at x = 0 are not allowed")
-            if not w > 0:
-                raise ValueError(f"jump rates must be > 0, got {w}")
+            if not math.isfinite(x):
+                raise ValueError(f"jump locations must be finite, got {x}")
+            if not 0 < w < math.inf:
+                raise ValueError(f"jump rates must be finite and > 0, got {w}")
         object.__setattr__(self, "atoms", atoms)
 
 
@@ -169,14 +175,14 @@ def ln_moment(gen, p):
     p = _check_order(p)
     ps = np.ravel(p)
     g = as_levy(gen)
-    total = g.drift * ps + 0.5 * g.sigma2 * ps * ps
-    if g.atoms:
-        x, w = np.array(g.atoms).T
-        with np.errstate(over="ignore"):  # reported as OverflowError below
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as OverflowError below
+        total = g.drift * ps + 0.5 * g.sigma2 * ps * ps
+        if g.atoms:
+            x, w = np.array(g.atoms).T
             total += (np.expm1(np.multiply.outer(ps, x)) * w).sum(axis=-1)
-    if g.tail is not None:
-        y, w = _tail_rule(g.tail)
-        total += (np.expm1(-np.multiply.outer(ps, y)) * w).sum(axis=-1)
+        if g.tail is not None:
+            y, w = _tail_rule(g.tail)
+            total += (np.expm1(-np.multiply.outer(ps, y)) * w).sum(axis=-1)
     if not np.isfinite(total).all():
         raise OverflowError(f"ln E[W^p] is not finite at p = {ps[~np.isfinite(total)][0]}")
     return total.reshape(np.shape(p)) if np.ndim(p) else float(total[0])
@@ -198,10 +204,13 @@ def sample_logW(gen, count: int, seed: int) -> np.ndarray:
     """Draw i.i.d. samples of log W, deterministic given (gen, count, seed).
 
     Uses a counter-based (Philox) stream keyed by the seed.  The jump
-    part draws one Poisson count per sample from the total jump rate
-    and then assigns jumps to atoms/tail by a categorical pick, so two
-    generators with equal total rate sampled with the same seed share
-    their jump counts (useful for common-random-number comparisons).
+    part draws one Poisson count per sample from the total jump rate,
+    so two generators with equal total rate sampled with the same seed
+    share their jump counts (useful for common-random-number
+    comparisons).  Every jump is then sized from one jump table, the
+    atom locations followed by a NaN slot for a StableTail, at an index
+    drawn from the categorical law of the cumulative rates; the tail's
+    slots are filled by an inverse-CDF draw.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -212,32 +221,29 @@ def sample_logW(gen, count: int, seed: int) -> np.ndarray:
     if g.sigma2 > 0:
         out += rng.normal(0.0, math.sqrt(g.sigma2), size=count)
 
-    locs = [x for x, _ in g.atoms]
+    table = [x for x, _ in g.atoms]
     rates = [w for _, w in g.atoms]
     tail = g.tail
     if tail is not None:
+        table.append(math.nan)  # atoms are finite, so NaN marks only the tail slot
         rates.append(tail.mass)
-    total_rate = float(sum(rates))
-    if total_rate == 0.0:
+    if not rates:
         return out
 
-    n_jumps = rng.poisson(total_rate, size=count)
+    cum = np.cumsum(rates)  # cum[-1] is the total jump rate
+    n_jumps = rng.poisson(cum[-1], size=count)
     t = int(n_jumps.sum())
     if t == 0:
         return out
 
-    cum = np.cumsum(rates) / total_rate
-    pick = np.searchsorted(cum, rng.random(t), side="right")
-    sizes = np.empty(t, dtype=float)
-    for i, x in enumerate(locs):
-        sizes[pick == i] = x
+    # dividing by the table's own last entry makes the last edge exactly 1.0
+    sizes = np.take(table, np.searchsorted(cum / cum[-1], rng.random(t), side="right"))
     if tail is not None:
-        sel = pick == len(locs)
-        if sel.any():
-            # inverse-CDF draw from c*y**(-1-alpha) on [x_min, x_max], y = |x|
-            v = rng.random(int(sel.sum()))
-            lo, hi, a = tail.x_min ** -tail.alpha, tail.x_max ** -tail.alpha, tail.alpha
-            sizes[sel] = -((lo - v * (lo - hi)) ** (-1.0 / a))
+        sel = np.isnan(sizes)
+        # inverse-CDF draw from c*y**(-1-alpha) on [x_min, x_max], y = |x|
+        v = rng.random(int(sel.sum()))
+        lo, hi, a = tail.x_min ** -tail.alpha, tail.x_max ** -tail.alpha, tail.alpha
+        sizes[sel] = -((lo - v * (lo - hi)) ** (-1.0 / a))
 
     sample_idx = np.repeat(np.arange(count), n_jumps)
     out += np.bincount(sample_idx, weights=sizes, minlength=count)
@@ -258,7 +264,12 @@ def carleman_terms(gen, P: int) -> np.ndarray:
     if P < 1:
         raise ValueError(f"P must be >= 1, got {P}")
     p2 = 2.0 * np.arange(1, P + 1)
-    return np.exp(-ln_moment(gen, p2) / p2)
+    with np.errstate(over="ignore"):  # reported as OverflowError below
+        terms = np.exp(-ln_moment(gen, p2) / p2)
+        partial_sum = terms.sum()
+    if not np.isfinite(partial_sum):
+        raise OverflowError("Carleman terms overflow: E[W^{2p}] is below the float range")
+    return terms
 
 
 def carleman_partial_sum(gen, P: int) -> float:
@@ -309,6 +320,8 @@ def generator_to_dict(gen) -> dict:
             "x_min": g.tail.x_min,
             "x_max": g.tail.x_max,
         }
+        if g.sigma2 > 0:
+            doc["sigma2"] = g.sigma2
         if g.atoms:
             doc["atoms"] = [[x, w] for x, w in g.atoms]
         return doc
@@ -322,23 +335,52 @@ def generator_to_dict(gen) -> dict:
     }
 
 
+def _number(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"{what} is too large: {value!r}") from None
+
+
 def generator_from_dict(doc: dict):
+    """Rebuild a generator from its JSON document.
+
+    A malformed document (not an object, unknown kind, missing or
+    non-numeric field, atom that is not an [x, w] pair) raises a
+    ValueError that names the problem.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"generator document must be a JSON object, got {type(doc).__name__}")
     kind = doc.get("kind")
+    if kind not in ("log-poisson", "log-normal", "log-stable", "atomic"):
+        raise ValueError(f"unknown generator kind {kind!r}")
+
+    def number(key, default=None):
+        if key not in doc and default is None:
+            raise ValueError(f"{kind} generator document is missing field {key!r}")
+        return _number(doc.get(key, default), f"field {key!r}")
+
+    def atoms():
+        pairs = doc.get("atoms", [])
+        if not isinstance(pairs, list):
+            raise ValueError(f"field 'atoms' must be a list of [x, w] pairs, got {pairs!r}")
+        for i, pair in enumerate(pairs):
+            if not (isinstance(pair, list) and len(pair) == 2):
+                raise ValueError(f"atom {i} must be an [x, w] pair, got {pair!r}")
+        return tuple((_number(x, f"atom {i} x"), _number(w, f"atom {i} w"))
+                     for i, (x, w) in enumerate(pairs))
+
     if kind == "log-poisson":
-        return LogPoissonParams(a=doc["a"], b=doc["b"], lam=doc["lambda"])
+        return LogPoissonParams(a=number("a"), b=number("b"), lam=number("lambda"))
     if kind == "log-normal":
-        return LevyGenerator(drift=doc["drift"], sigma2=doc["sigma2"])
+        return LevyGenerator(drift=number("drift"), sigma2=number("sigma2"))
+    tail = None
     if kind == "log-stable":
-        tail = StableTail(alpha=doc["alpha"], c=doc["c"], x_min=doc["x_min"], x_max=doc["x_max"])
-        atoms = tuple((x, w) for x, w in doc.get("atoms", []))
-        return LevyGenerator(drift=doc["drift"], atoms=atoms, tail=tail)
-    if kind == "atomic":
-        return LevyGenerator(
-            drift=doc["drift"],
-            sigma2=doc.get("sigma2", 0.0),
-            atoms=tuple((x, w) for x, w in doc.get("atoms", [])),
-        )
-    raise ValueError(f"unknown generator kind {kind!r}")
+        tail = StableTail(*(number(key) for key in ("alpha", "c", "x_min", "x_max")))
+    return LevyGenerator(drift=number("drift"), sigma2=number("sigma2", 0.0), atoms=atoms(),
+                         tail=tail)
 
 
 def generator_to_json(gen) -> str:

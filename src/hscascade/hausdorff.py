@@ -145,10 +145,6 @@ def rho_eta(nu_tilde: UnitMeasure):
         raise ValueError("nu_tilde must be a positive measure")
     if np.any(nu_tilde.u == 1.0):
         raise ValueError("nu_tilde must have no atom at u = 1")
-    if len(nu_tilde.u) == 0:
-        empty = UnitMeasure(u=np.array([]), w=np.array([]), kind="signed")
-        empty_pos = UnitMeasure(u=np.array([]), w=np.array([]), kind="positive")
-        return empty, empty_pos, 0.0
     rho_w = (nu_tilde.u - 1.0) * nu_tilde.w
     rho = UnitMeasure(u=nu_tilde.u, w=rho_w, kind="signed")
     eta = UnitMeasure(u=nu_tilde.u, w=-rho_w, kind="positive")
@@ -159,8 +155,6 @@ def moment_sequence(mu: UnitMeasure, m_max: int) -> np.ndarray:
     """Moments sum_i w_i * u_i**m for m = 0..m_max (exact atomic sums)."""
     if m_max < 0:
         raise ValueError(f"m_max must be >= 0, got {m_max}")
-    if len(mu.u) == 0:
-        return np.zeros(m_max + 1)
     powers = mu.u[None, :] ** np.arange(m_max + 1)[:, None]
     return powers @ mu.w
 
@@ -241,7 +235,7 @@ def verify_stability(
     A = gen_ref.lam * (beta - 1.0)
     eps = a1_residual_vs_reference(gen_perturbed, gen_ref, r, k, m_max)
     nu_tilde = pushforward_to_unit(gen_perturbed, k)
-    _, eta, A_pert = rho_eta(nu_tilde)
+    _, eta, _ = rho_eta(nu_tilde)
     w1 = w1_unit(eta.normalized(), point_mass(beta))
     big_k = stability_constant(beta, r, A)
     bound_ok = w1 <= big_k * math.sqrt(eps) + 1e-12

@@ -136,6 +136,28 @@ class TestEstimateDeltas:
         with pytest.raises(ValueError, match="missing orders"):
             estimate_deltas(z, 3)
 
+    @pytest.mark.parametrize("orders, missing", [
+        ((0.0, 3.0), r"\[6\.0\]"),
+        ((0.0, 3.0, 9.0), r"\[6\.0\]"),
+        ((0.0, 6.0, 9.0), r"\[3\.0\]"),
+        ((3.0, 6.0, 9.0), r"\[0\.0\]"),
+        ((0.0,), r"\[3\.0, 6\.0\]"),
+    ])
+    def test_missing_orders_named(self, orders, missing):
+        z = ZetaEstimate(p=np.array(orders), zeta_hat=np.zeros(len(orders)),
+                         se=np.zeros(len(orders)))
+        with pytest.raises(ValueError, match="missing orders " + missing):
+            estimate_deltas(z, 3)
+
+    def test_run_of_orders_stops_at_first_gap(self):
+        # 12 sits past the gap at 9, and the unsorted rows are found by order
+        z = ZetaEstimate(p=np.array([6.0, 0.0, 12.0, 3.0]), zeta_hat=np.array([3.0, 0.0, 9.0, 1.0]),
+                         se=np.array([0.4, 0.0, 0.5, 0.3]))
+        series = estimate_deltas(z, 3)
+        assert series.m == (0, 1)
+        assert series.delta == (1.0, 2.0)
+        assert series.stderr == (0.3, math.hypot(0.3, 0.4))
+
     def test_simulated_delta0(self):
         cfg = SimConfig(params=CascadeParams(r=0.5, k=3), n_levels=8, n_samples=100_000, seed=6)
         series = estimate_deltas(estimate_zeta(simulate(cfg, SL_LP)), 3)
@@ -167,6 +189,14 @@ class TestCsvRoundTrip:
         z = ZetaEstimate.from_csv(io.StringIO(text))
         series = estimate_deltas(z, 3)
         assert series.delta == pytest.approx((1.0, 0.77, 0.63), abs=1e-12)
+
+    def test_reads_any_object_with_read(self):
+        class Source:  # a text source that is not an io.TextIOBase
+            def read(self):
+                return "# {}\np,zeta_hat,se\n0,0,0\n3,1.0,0.01\n"
+
+        z = ZetaEstimate.from_csv(Source())
+        assert z.value(3.0) == (1.0, 0.01)
 
     def test_malformed_csv(self):
         with pytest.raises(ValueError, match="row 4"):

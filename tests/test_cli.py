@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hscascade.cli import eps_grid, main, real
 
@@ -20,7 +24,7 @@ class TestFlagParsing:
     def test_rejects_garbage(self):
         import argparse
 
-        for bad in ("abc", "1/0", "2//3"):
+        for bad in ("abc", "1/0", "2//3", "nan", "inf", "-inf", "1e400", "1" + "0" * 400 + "/3"):
             with pytest.raises(argparse.ArgumentTypeError):
                 real(bad)
 
@@ -62,6 +66,11 @@ class TestUsageErrors:
                          "--samples", "1000", "--seed", "-1",
                          "--out-structure", str(tmp_path / "s.csv"),
                          "--out-zeta", str(tmp_path / "z.csv"))
+
+    def test_non_finite_gamma(self, capsys, tmp_path):
+        err = self.usage_error(capsys, "spectrum", "--beta", "2/3", "--bigC", "2",
+                               "--gamma", "nan", "--out", str(tmp_path / "x.csv"))
+        assert "not a finite number" in err
 
     def test_removed_flags(self, capsys):
         self.usage_error(capsys, "--threads", "2", "classify-family")
@@ -195,3 +204,92 @@ class TestDeterminacy:
         code, out, _ = run(capsys, "determinacy", "--gen", "log-poisson")
         assert code == 0
         assert json.loads(out)["verdict"] == "determinate-divergent"
+
+
+class TestGeneratorDocument:
+    """determinacy --gen json names what is wrong with a malformed document."""
+
+    @pytest.mark.parametrize("doc, message", [
+        ("[]", "must be a JSON object, got list"),
+        ('{"kind":"atomic","drift":"x"}', "field 'drift' must be a number, got 'x'"),
+        ('{"kind":"atomic","drift":0,"atoms":[[-0.3]]}', "atom 0 must be an [x, w] pair"),
+        ('{"kind":"log-poisson","a":0,"b":-1}', "missing field 'lambda'"),
+        ('{"kind":"atomic","drift":NaN}', "drift must be finite"),
+    ])
+    def test_malformed_exits_1_with_json_stderr(self, capsys, doc, message):
+        code, _, err = run(capsys, "determinacy", "--gen", "json", "--gen-json", doc)
+        assert code == 1
+        report = json.loads(err)
+        assert report["error"] == "ValueError" and message in report["message"]
+
+    def test_valid_document(self, capsys):
+        doc = '{"kind":"log-poisson","a":-0.077,"b":-0.135,"lambda":1.386}'
+        code, out, _ = run(capsys, "determinacy", "--gen", "json", "--gen-json", doc)
+        assert code == 0
+        assert json.loads(out)["verdict"] == "determinate-divergent"
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
+                                                                  max_size=4),
+    max_leaves=12,
+)
+
+VALID_DOCS = [
+    {"kind": "log-poisson", "a": -0.077, "b": -0.135, "lambda": 1.386},
+    {"kind": "log-normal", "drift": -0.1, "sigma2": 0.2},
+    {"kind": "log-stable", "drift": 0.0, "alpha": 0.5, "c": 0.05, "x_min": 1e-4, "x_max": 1.0,
+     "atoms": [[-1.0, 0.5]]},
+    {"kind": "atomic", "drift": 0.1, "sigma2": 0.0, "atoms": [[-1.0, 0.5], [-2.0, 0.25]]},
+]
+
+
+@st.composite
+def mutated_documents(draw):
+    doc = json.loads(json.dumps(draw(st.sampled_from(VALID_DOCS))))
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.sampled_from(sorted(doc) + ["atoms", "sigma2", "extra"]))
+        action = draw(st.sampled_from(["delete", "number", "replace", "replace_atom"]))
+        atoms = doc.get("atoms")
+        if action == "delete":
+            doc.pop(key, None)
+        elif action == "number":
+            doc[key] = draw(st.floats() | st.integers())
+        elif action == "replace_atom" and isinstance(atoms, list) and atoms:
+            atoms[draw(st.integers(0, len(atoms) - 1))] = draw(json_values)
+        else:
+            doc[key] = draw(json_values)
+    return doc
+
+
+def run_determinacy(text):
+    """Exit code and stderr of determinacy --gen json, SystemExit included."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(["determinacy", "--gen", "json", f"--gen-json={text}", "--P", "20"])
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+class TestGeneratorDocumentFuzz:
+    """Any document keeps the CLI contract: exit 0/1/2, JSON on stderr, no traceback."""
+
+    def check(self, doc):
+        code, err = run_determinacy(json.dumps(doc))
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 1:
+            assert json.loads(err)["error"]
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(doc=json_values)
+    def test_arbitrary_json(self, doc):
+        self.check(doc)
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(doc=mutated_documents())
+    def test_mutated_valid_documents(self, doc):
+        self.check(doc)

@@ -245,6 +245,13 @@ class TestTypes:
         with pytest.raises(ValueError):
             ScalingLaw(gamma=0.1, big_c=1.0, beta=0.0, k=1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_scaling_law_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            ScalingLaw(gamma=bad, big_c=2.0, beta=0.5, k=1)
+        with pytest.raises(ValueError, match="concentration amplitude"):
+            ScalingLaw(gamma=0.1, big_c=bad, beta=0.5, k=1)
+
     def test_law_identities(self):
         assert SL.delta_inf == pytest.approx(1.0 / 3.0, abs=1e-15)
         assert SL.delta0 == pytest.approx(1.0, abs=1e-15)

@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from hscascade.generators import (
     carleman_terms,
     delta_series_analytic,
     determinacy_verdict,
+    generator_from_dict,
     generator_from_json,
     generator_to_json,
     ln_moment,
@@ -97,6 +100,15 @@ class TestLnMoment:
         gen = LevyGenerator(drift=0.0, atoms=((5.0, 1.0),))
         with pytest.raises(OverflowError):
             ln_moment(gen, 1000.0)
+
+    @pytest.mark.parametrize("gen", [
+        LevyGenerator(sigma2=1e308),
+        LevyGenerator(drift=-1e308, sigma2=1e308),
+        LevyGenerator(drift=1e308),
+    ])
+    def test_overflow_in_drift_and_gaussian_part_reported(self, gen):
+        with pytest.raises(OverflowError):
+            ln_moment(gen, np.array([1.0, 2.0]))
 
 
 class TestDeltaSeriesAnalytic:
@@ -218,6 +230,12 @@ class TestCarleman:
         assert np.allclose(terms, 1.0 / 0.7, atol=1e-12)
         assert carleman_partial_sum(gen, 50) == pytest.approx(50 / 0.7, rel=1e-12)
 
+    @pytest.mark.parametrize("drift", [-1e300, -709.0])
+    def test_overflow_reported(self, drift):
+        # exp(-psi(2p)/2p) overflows at -1e300; at -709 only the partial sum does
+        with pytest.raises(OverflowError, match="Carleman"):
+            carleman_terms(LevyGenerator(drift=drift), 20)
+
     def test_verdicts(self):
         assert determinacy_verdict(SL_LP) == "determinate-divergent"
         assert determinacy_verdict(LOGNORMAL) == "indeterminate-convergent"
@@ -233,6 +251,10 @@ class TestSerialization:
             LevyGenerator(
                 drift=0.0, tail=StableTail(alpha=0.5, c=0.05, x_min=1e-4, x_max=1.0)
             ),
+            LevyGenerator(  # a tail and a Gaussian part: sigma2 used to be dropped
+                drift=0.1, sigma2=0.3, atoms=((-1.0, 0.5),),
+                tail=StableTail(alpha=0.5, c=0.05, x_min=1e-4, x_max=1.0),
+            ),
         ]
         for gen in gens:
             assert generator_from_json(generator_to_json(gen)) == gen
@@ -240,6 +262,26 @@ class TestSerialization:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             generator_from_json('{"kind": "mystery"}')
+
+    @pytest.mark.parametrize("doc, message", [
+        ([], "must be a JSON object, got list"),
+        ({"kind": "mystery"}, "unknown generator kind 'mystery'"),
+        ({"drift": 0.0}, "unknown generator kind None"),
+        ({"kind": "log-poisson", "a": 0.0, "b": -1.0}, "missing field 'lambda'"),
+        ({"kind": "log-stable", "drift": 0.0, "alpha": 0.5, "c": 1.0, "x_min": 0.1},
+         "missing field 'x_max'"),
+        ({"kind": "atomic", "drift": "x"}, "field 'drift' must be a number, got 'x'"),
+        ({"kind": "atomic", "drift": True}, "field 'drift' must be a number, got True"),
+        ({"kind": "log-normal", "drift": 0.0, "sigma2": None}, "field 'sigma2' must be a number"),
+        ({"kind": "atomic", "drift": 10**400}, "field 'drift' is too large"),
+        ({"kind": "atomic", "drift": 0.0, "atoms": {"x": 1}}, "field 'atoms' must be a list"),
+        ({"kind": "atomic", "drift": 0.0, "atoms": [[-0.3]]}, r"atom 0 must be an \[x, w\] pair"),
+        ({"kind": "atomic", "drift": 0.0, "atoms": [[-0.3, 1.0], -0.3]}, "atom 1 must be"),
+        ({"kind": "atomic", "drift": 0.0, "atoms": [[-0.3, "1"]]}, "atom 0 w must be a number"),
+    ])
+    def test_malformed_document_named(self, doc, message):
+        with pytest.raises(ValueError, match=message):
+            generator_from_dict(doc)
 
 
 class TestValidation:
@@ -262,6 +304,21 @@ class TestValidation:
             StableTail(alpha=2.5, c=1.0, x_min=0.1, x_max=1.0)
         with pytest.raises(ValueError):
             StableTail(alpha=0.5, c=1.0, x_min=1.0, x_max=0.1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("make", [
+        lambda v: LogPoissonParams(a=v, b=-1.0, lam=1.0),
+        lambda v: LogPoissonParams(a=0.0, b=v, lam=1.0),
+        lambda v: LogPoissonParams(a=0.0, b=-1.0, lam=v),
+        lambda v: LevyGenerator(drift=v),
+        lambda v: LevyGenerator(sigma2=v),
+        lambda v: LevyGenerator(atoms=((v, 1.0),)),
+        lambda v: LevyGenerator(atoms=((-1.0, v),)),
+        lambda v: StableTail(alpha=0.5, c=v, x_min=0.1, x_max=1.0),
+    ], ids=["a", "b", "lam", "drift", "sigma2", "atom_x", "atom_w", "tail_c"])
+    def test_rejects_non_finite(self, make, bad):
+        with pytest.raises(ValueError, match="finite"):
+            make(bad)
 
     def test_as_levy(self):
         g = as_levy(SL_LP)
@@ -345,3 +402,102 @@ class TestLnMomentProperties:
         assert np.all(jump_part <= tol)
         assert np.all(jump_part >= -mass - tol)
         assert np.all(np.diff(jump_part) <= tol)
+
+
+class TestSerializationProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(gen=generators() | st.builds(LogPoissonParams, a=st.floats(-1.0, 1.0),
+                                         b=st.floats(-3.0, -0.01), lam=st.floats(0.01, 5.0)))
+    def test_json_round_trip(self, gen):
+        assert generator_from_json(generator_to_json(gen)) == gen
+
+
+# --- the random stream ---------------------------------------------------
+
+def reference_sample_logW(gen, count, seed):
+    """The sampler before the jump table: a categorical pick and a per-atom mask loop.
+
+    Pins the random stream.  The total rate is summed left to right, as
+    float sum() did before Python 3.12.
+    """
+    g = as_levy(gen)
+    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+
+    out = np.full(count, g.drift, dtype=float)
+    if g.sigma2 > 0:
+        out += rng.normal(0.0, math.sqrt(g.sigma2), size=count)
+
+    locs = [x for x, _ in g.atoms]
+    rates = [w for _, w in g.atoms]
+    tail = g.tail
+    if tail is not None:
+        rates.append(tail.mass)
+    total_rate = functools.reduce(operator.add, rates, 0.0)
+    if total_rate == 0.0:
+        return out
+
+    n_jumps = rng.poisson(total_rate, size=count)
+    t = int(n_jumps.sum())
+    if t == 0:
+        return out
+
+    cum = np.cumsum(rates) / total_rate
+    pick = np.searchsorted(cum, rng.random(t), side="right")
+    sizes = np.empty(t, dtype=float)
+    for i, x in enumerate(locs):
+        sizes[pick == i] = x
+    if tail is not None:
+        sel = pick == len(locs)
+        if sel.any():
+            v = rng.random(int(sel.sum()))
+            lo, hi, a = tail.x_min ** -tail.alpha, tail.x_max ** -tail.alpha, tail.alpha
+            sizes[sel] = -((lo - v * (lo - hi)) ** (-1.0 / a))
+
+    sample_idx = np.repeat(np.arange(count), n_jumps)
+    out += np.bincount(sample_idx, weights=sizes, minlength=count)
+    return out
+
+
+@st.composite
+def sampled_generators(draw):
+    """0-300 atoms of either sign, an optional StableTail and Gaussian part, total rate <= 40."""
+    n_atoms = draw(st.integers(0, 300))
+    sizes = draw(hnp.arrays(float, n_atoms, elements=st.floats(1e-3, 3.0)))
+    locs = np.where(draw(hnp.arrays(bool, n_atoms)), sizes, -sizes)
+    weights = draw(hnp.arrays(float, n_atoms, elements=st.floats(1e-3, 1.0)))
+    if n_atoms:
+        weights *= draw(st.floats(1e-3, 20.0)) / weights.sum()
+    tail = None
+    if draw(st.booleans()):
+        alpha = draw(st.floats(0.05, 1.95))
+        x_min = draw(st.floats(1e-4, 0.5))
+        x_max = x_min * draw(st.floats(1.01, 1e4))
+        mass = draw(st.floats(1e-6, 20.0))  # down to a nearly empty tail
+        c = mass * alpha / (x_min**-alpha - x_max**-alpha)
+        tail = StableTail(alpha=alpha, c=c, x_min=x_min, x_max=x_max)
+    return LevyGenerator(
+        drift=draw(st.floats(-1.0, 1.0)),
+        sigma2=draw(st.sampled_from([0.0, 0.3])),
+        atoms=tuple(zip(locs.tolist(), weights.tolist())),
+        tail=tail,
+    )
+
+
+class TestRandomStream:
+    """sample_logW reproduces the reference sampler bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(gen=sampled_generators(), count=st.integers(1, 5000),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_reference(self, gen, count, seed):
+        got = sample_logW(gen, count, seed)
+        assert got.tobytes() == reference_sample_logW(gen, count, seed).tobytes()
+
+    def test_pinned_200_atoms_and_tail(self):
+        rng = np.random.default_rng(2024)
+        atoms = tuple(zip(rng.uniform(-0.4, -0.02, 200).tolist(),
+                          (rng.dirichlet(np.ones(200)) * SL_LP.lam).tolist()))
+        gen = LevyGenerator(drift=SL_LP.a, atoms=atoms,
+                            tail=StableTail(alpha=0.5, c=0.05, x_min=1e-4, x_max=1.0))
+        got = sample_logW(gen, 100_000, seed=11)
+        assert got.tobytes() == reference_sample_logW(gen, 100_000, 11).tobytes()

@@ -63,6 +63,14 @@ class TestRhoEta:
         with pytest.raises(ValueError, match="u = 1"):
             rho_eta(nu)
 
+    def test_empty_measure(self):
+        rho, eta, A = rho_eta(UnitMeasure(u=np.array([]), w=np.array([])))
+        assert (rho.kind, eta.kind, A) == ("signed", "positive", 0.0)
+        assert len(rho.u) == len(eta.u) == 0 and rho.mass == eta.mass == 0.0
+        mom = moment_sequence(rho, 4)
+        assert mom.dtype == float and np.array_equal(mom, np.zeros(5))
+        assert moment_residual(rho, A, 0.5, 4) == 0.0
+
 
 class TestMoments:
     def test_geometric_sequence_for_log_poisson(self):
