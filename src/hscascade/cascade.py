@@ -138,6 +138,8 @@ def _read_csv(path, expected_header):
     if lines and lines[0].startswith("#"):
         meta = json.loads(lines[0][1:].strip() or "{}")
         i = 1
+    if i == len(lines):
+        raise ValueError("empty CSV: no header line")
     header = tuple(h.strip() for h in lines[i].split(","))
     if header != tuple(expected_header):
         raise ValueError(f"bad CSV header {header!r}, expected {tuple(expected_header)!r}")
@@ -152,19 +154,28 @@ def _read_csv(path, expected_header):
             rows.append([float(v) for v in parts])
         except ValueError as exc:
             raise ValueError(f"row {ln_no}: {exc}") from None
+    if not rows:
+        raise ValueError("CSV has a header but no data rows")
     return meta, rows
 
 
 def _ln_mean_and_jackknife(z: np.ndarray) -> tuple:
-    """ln mean(exp(z)) and its leave-one-out jackknife standard error."""
+    """ln mean(exp(z)) and its leave-one-out jackknife standard error.
+
+    z is the scratch buffer: every step runs in place in it, so a call
+    allocates no array and leaves z overwritten.
+    """
     ns = len(z)
     m = z.max()
-    x = np.exp(z - m)
+    x = np.exp(np.subtract(z, m, out=z), out=z)
     total = x.sum()
     ln_s = m + math.log(total / ns)
     # theta_(-j) = ln((total - x_j)/(ns-1)) + m
-    loo = np.log(np.maximum(total - x, 1e-300)) - math.log(ns - 1) + m
-    se = math.sqrt((ns - 1) / ns * float(((loo - loo.mean()) ** 2).sum()))
+    loo = np.log(np.maximum(np.subtract(total, x, out=x), 1e-300, out=x), out=x)
+    loo -= math.log(ns - 1)
+    loo += m
+    loo -= loo.mean()
+    se = math.sqrt((ns - 1) / ns * float(np.square(loo, out=loo).sum()))
     return ln_s, se
 
 
@@ -176,8 +187,9 @@ def simulate(config: SimConfig, gen) -> StructureTable:
     nl, ns = config.n_levels, config.n_samples
     # log Phi(r^n) per sample, one row per level n
     branch = np.cumsum(sample_logW(gen, nl * ns, config.seed).reshape(nl, ns), axis=0)
+    z = np.empty(ns)  # the jackknife's scratch buffer, refilled for every (p, n)
     ln_s, se = np.array([
-        (0.0, 0.0) if p == 0.0 else _ln_mean_and_jackknife(p * level)
+        (0.0, 0.0) if p == 0.0 else _ln_mean_and_jackknife(np.multiply(p, level, out=z))
         for p in config.p_list
         for level in branch
     ]).T

@@ -78,6 +78,13 @@ class StableTail:
             raise ValueError(f"tail amplitude c must be finite and > 0, got {self.c}")
         if not (0.0 < self.x_min < self.x_max < math.inf):
             raise ValueError("tail truncation must satisfy 0 < x_min < x_max < inf")
+        try:
+            finite = math.isfinite(self.mass)
+        except OverflowError:  # x_min ** -alpha beyond the float range
+            finite = False
+        if not finite:
+            raise ValueError(f"tail mass is not finite: x_min = {self.x_min} is too small "
+                             f"for alpha = {self.alpha} and c = {self.c}")
 
     @property
     def mass(self) -> float:
@@ -211,6 +218,11 @@ def sample_logW(gen, count: int, seed: int) -> np.ndarray:
     atom locations followed by a NaN slot for a StableTail, at an index
     drawn from the categorical law of the cumulative rates; the tail's
     slots are filled by an inverse-CDF draw.
+
+    A table of one atom and no tail draws nothing after the counts: a
+    sample with j jumps gets the j-th prefix sum x + x + ... + x, the
+    same left-to-right sum the general path accumulates, so the output
+    is bit-identical and the counts keep their common random numbers.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -234,6 +246,9 @@ def sample_logW(gen, count: int, seed: int) -> np.ndarray:
     n_jumps = rng.poisson(cum[-1], size=count)
     t = int(n_jumps.sum())
     if t == 0:
+        return out
+    if len(table) == 1 and tail is None:
+        out += np.concatenate(([0.0], np.cumsum(np.full(n_jumps.max(), table[0]))))[n_jumps]
         return out
 
     # dividing by the table's own last entry makes the last edge exactly 1.0

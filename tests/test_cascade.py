@@ -1,20 +1,30 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hscascade.cascade import (
     SimConfig,
     StructureTable,
     ZetaEstimate,
+    _ln_mean_and_jackknife,
     default_p_list,
     estimate_deltas,
     estimate_zeta,
     simulate,
 )
 from hscascade.exponents import CascadeParams, ScalingLaw, conservation_gamma, delta, zeta
-from hscascade.generators import LevyGenerator, logpoisson_from_scaling, normalize_mean_one
+from hscascade.generators import (
+    LevyGenerator,
+    logpoisson_from_scaling,
+    normalize_mean_one,
+    sample_logW,
+)
 
 SL = ScalingLaw(gamma=1.0 / 9.0, big_c=2.0, beta=2.0 / 3.0, k=3)
 SL_LP = logpoisson_from_scaling(SL, 0.5)
@@ -81,6 +91,56 @@ class TestSimulate:
         for p in (3.0, 6.0):
             n, y, se = table.rows_for(p)
             assert np.all(np.abs(y - n * ln_moment(SL_LP, p)) < 4 * se)
+
+
+def reference_ln_mean_and_jackknife(z):
+    """The jackknife before its scratch buffer: the same steps, each on a fresh array."""
+    ns = len(z)
+    m = z.max()
+    x = np.exp(z - m)
+    total = x.sum()
+    ln_s = m + math.log(total / ns)
+    loo = np.log(np.maximum(total - x, 1e-300)) - math.log(ns - 1) + m
+    se = math.sqrt((ns - 1) / ns * float(((loo - loo.mean()) ** 2).sum()))
+    return ln_s, se
+
+
+class TestJackknife:
+    """The in-place jackknife returns the allocating one's floats exactly."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(z=hnp.arrays(float, st.integers(2, 2000), elements=st.floats(-700.0, 700.0)))
+    def test_matches_reference(self, z):
+        assert _ln_mean_and_jackknife(z.copy()) == reference_ln_mean_and_jackknife(z)
+
+    def test_dominated_sample_hits_the_clamp(self):
+        # without the largest sample the sum underflows to 0 and is clamped at 1e-300
+        z = np.full(1000, -700.0)
+        z[17] = 700.0
+        expected = reference_ln_mean_and_jackknife(z)
+        assert _ln_mean_and_jackknife(z.copy()) == expected
+        assert expected[1] > 10.0
+
+
+class TestMemory:
+    """The traced peak stays within 4 x (8 B x total draws)."""
+
+    def traced_peak(self, run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_sample_logW(self):
+        peak = self.traced_peak(lambda: sample_logW(SL_LP, 1_000_000, 0))
+        assert peak <= 4 * 8 * 1_000_000
+
+    def test_simulate(self):
+        cfg = SimConfig(params=CascadeParams(r=0.5, k=3), n_levels=8, n_samples=125_000, seed=0)
+        peak = self.traced_peak(lambda: simulate(cfg, SL_LP))
+        assert peak <= 4 * 8 * 8 * 125_000
 
 
 class TestEstimateZeta:
@@ -203,6 +263,16 @@ class TestCsvRoundTrip:
             ZetaEstimate.from_csv(io.StringIO("# {}\np,zeta_hat,se\n0,0,0\n3,oops,0.1\n"))
         with pytest.raises(ValueError, match="header"):
             ZetaEstimate.from_csv(io.StringIO("a,b\n1,2\n"))
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty CSV: no header line"),
+        ("# {}\n", "empty CSV: no header line"),
+        ("# {}\np,zeta_hat,se\n", "header but no data rows"),
+        ("p,zeta_hat,se\n\n", "header but no data rows"),
+    ])
+    def test_empty_or_header_only_csv(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            ZetaEstimate.from_csv(io.StringIO(text))
 
 
 class TestConfigValidation:

@@ -121,6 +121,20 @@ class TestSimulateAnalyze:
         assert doc["error"] == "ValueError"
         assert "row" in doc["message"]
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "no header line"),
+        ("# {}\np,zeta_hat,se\n", "no data rows"),
+    ])
+    def test_empty_or_header_only_csv_exits_1_with_json_stderr(self, tmp_path, capsys, text,
+                                                                message):
+        path = tmp_path / "zeta.csv"
+        path.write_text(text)
+        code, _, err = run(capsys, "analyze", str(path), "--k", "3", "--r", "0.5")
+        assert code == 1
+        assert "Traceback" not in err
+        doc = json.loads(err)
+        assert doc["error"] == "ValueError" and message in doc["message"]
+
     def test_missing_file_exits_1(self, tmp_path, capsys):
         code, _, err = run(capsys, "analyze", str(tmp_path / "nope.csv"),
                            "--k", "3", "--r", "0.5")
@@ -215,6 +229,8 @@ class TestGeneratorDocument:
         ('{"kind":"atomic","drift":0,"atoms":[[-0.3]]}', "atom 0 must be an [x, w] pair"),
         ('{"kind":"log-poisson","a":0,"b":-1}', "missing field 'lambda'"),
         ('{"kind":"atomic","drift":NaN}', "drift must be finite"),
+        ('{"kind":"log-stable","drift":0,"alpha":1.9,"c":1,"x_min":1e-200,"x_max":1}',
+         "tail mass is not finite"),
     ])
     def test_malformed_exits_1_with_json_stderr(self, capsys, doc, message):
         code, _, err = run(capsys, "determinacy", "--gen", "json", "--gen-json", doc)

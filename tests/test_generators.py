@@ -27,6 +27,7 @@ from hscascade.generators import (
     normalize_mean_one,
     sample_logW,
 )
+from hscascade.hausdorff import empirical_w1_multipliers, split_perturbation
 
 SL = ScalingLaw(gamma=1.0 / 9.0, big_c=2.0, beta=2.0 / 3.0, k=3)
 SL_LP = logpoisson_from_scaling(SL, 0.5)
@@ -305,6 +306,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             StableTail(alpha=0.5, c=1.0, x_min=1.0, x_max=0.1)
 
+    @pytest.mark.parametrize("alpha, c, x_min", [
+        (1.9, 1.0, 1e-200),  # x_min ** -alpha is beyond the float range
+        (1.9, 1e300, 1e-10),  # x_min ** -alpha is finite, the mass is not
+    ])
+    def test_stable_tail_mass_must_be_finite(self, alpha, c, x_min):
+        with pytest.raises(ValueError, match="tail mass is not finite"):
+            StableTail(alpha=alpha, c=c, x_min=x_min, x_max=1.0)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("make", [
         lambda v: LogPoissonParams(a=v, b=-1.0, lam=1.0),
@@ -483,6 +492,20 @@ def sampled_generators(draw):
     )
 
 
+@st.composite
+def one_atom_generators(draw):
+    """LogPoissonParams, or one atom of either sign at rate <= 40 with or without sigma2."""
+    if draw(st.booleans()):
+        return LogPoissonParams(a=draw(st.floats(-1.0, 1.0)), b=draw(st.floats(-3.0, -1e-3)),
+                                lam=draw(st.floats(1e-3, 40.0)))
+    x = draw(st.floats(1e-3, 3.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    return LevyGenerator(
+        drift=draw(st.floats(-1.0, 1.0)),
+        sigma2=draw(st.just(0.0) | st.floats(1e-3, 1.0)),
+        atoms=((x, draw(st.floats(1e-3, 40.0))),),
+    )
+
+
 class TestRandomStream:
     """sample_logW reproduces the reference sampler bit for bit."""
 
@@ -501,3 +524,22 @@ class TestRandomStream:
                             tail=StableTail(alpha=0.5, c=0.05, x_min=1e-4, x_max=1.0))
         got = sample_logW(gen, 100_000, seed=11)
         assert got.tobytes() == reference_sample_logW(gen, 100_000, 11).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(gen=one_atom_generators(), count=st.integers(1, 5000),
+           seed=st.integers(0, 2**32 - 1))
+    def test_one_atom_matches_reference(self, gen, count, seed):
+        got = sample_logW(gen, count, seed)
+        assert got.tobytes() == reference_sample_logW(gen, count, seed).tobytes()
+
+    def test_pinned_canonical_law(self):
+        got = sample_logW(SL_LP, 1_000_000, seed=7)
+        assert got.tobytes() == reference_sample_logW(SL_LP, 1_000_000, 7).tobytes()
+
+    def test_common_random_numbers_kept(self):
+        # the split law has two atoms, the canonical law one: both must draw the same counts
+        pert = split_perturbation(SL_LP, 3, 0.05)
+        wa = np.sort(np.exp(reference_sample_logW(pert, 200_000, 3)))
+        wb = np.sort(np.exp(reference_sample_logW(SL_LP, 200_000, 3)))
+        expected = float(np.abs(wa - wb).mean())
+        assert empirical_w1_multipliers(pert, SL_LP, 200_000, 3) == expected
