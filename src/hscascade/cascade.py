@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exponents import CascadeParams, DeltaSeries
-from .generators import sample_logW
+from .generators import _sample_rows
 
 __all__ = [
     "SimConfig",
@@ -183,16 +184,34 @@ def simulate(config: SimConfig, gen) -> StructureTable:
     """Structure-function table ln S_p(r^n) for n = 1..n_levels.
 
     Deterministic given the seed; the p = 0 rows are exactly zero.
+
+    A two-stage pipeline: this thread draws level n+1 of log Phi while
+    one worker thread runs level n's jackknife cells, every order p != 0
+    in the worker's one scratch buffer.  Both stages spend their time in
+    NumPy calls that release the GIL.  Each cell is a pure function of
+    its level and each level is the sum the cumulative sum over levels
+    makes, so the results do not depend on timing and are the same bytes
+    as a serial run.  At most two levels wait for the worker, which
+    keeps memory O(n_samples) for any n_levels when the generator
+    streams (see generators._sample_rows).
     """
     nl, ns = config.n_levels, config.n_samples
-    # log Phi(r^n) per sample, one row per level n
-    branch = np.cumsum(sample_logW(gen, nl * ns, config.seed).reshape(nl, ns), axis=0)
-    z = np.empty(ns)  # the jackknife's scratch buffer, refilled for every (p, n)
-    ln_s, se = np.array([
-        (0.0, 0.0) if p == 0.0 else _ln_mean_and_jackknife(np.multiply(p, level, out=z))
-        for p in config.p_list
-        for level in branch
-    ]).T
+    z = np.empty(ns)  # the worker's scratch buffer, refilled for every (p, n)
+
+    def cells(level):  # (ln_S, se) per order of one level, in the worker
+        return [(0.0, 0.0) if p == 0.0 else _ln_mean_and_jackknife(np.multiply(p, level, out=z))
+                for p in config.p_list]
+
+    futures = []
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        branch = None  # log Phi(r^n) per sample
+        for row in _sample_rows(gen, nl, ns, config.seed):
+            branch = row if branch is None else branch + row
+            if len(futures) >= 2:
+                futures[-2].result()  # level n-2 is done before level n is queued
+            futures.append(worker.submit(cells, branch))
+        # levels x orders x (ln_S, se) -> p-major rows
+        ln_s, se = np.array([f.result() for f in futures]).transpose(2, 1, 0).reshape(2, -1)
     meta = {
         "r": config.params.r,
         "k": config.params.k,

@@ -31,11 +31,12 @@ def real(text: str) -> float:
     return value
 
 
-def _int_at_least(lo: int):
+def _int_at_least(lo: int, zero_ok: bool = False):
     def parse(text: str) -> int:
         value = int(text)
-        if value < lo:
-            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        if value < lo and not (zero_ok and value == 0):
+            least = f"0 or >= {lo}" if zero_ok else f">= {lo}"
+            raise argparse.ArgumentTypeError(f"must be {least}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse reports a non-integer as "invalid int value"
@@ -52,8 +53,8 @@ def eps_grid(text: str) -> list:
         hi, lo = (float(v) for v in text.split(":"))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected HI:LO, got {text!r}")
-    if not (0 < lo < hi):
-        raise argparse.ArgumentTypeError("need 0 < LO < HI")
+    if not (0 < lo < hi and math.isfinite(hi / lo)):
+        raise argparse.ArgumentTypeError("need 0 < LO < HI with a finite HI/LO")
     n = int(round(math.log10(hi / lo)))
     return [hi * 10.0**-i for i in range(n + 1)]
 
@@ -202,8 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="simulate a cascade and estimate exponents")
     _add_law_flags(sp)
-    sp.add_argument("--levels", type=positive_int, default=8)
-    sp.add_argument("--samples", type=positive_int, default=100_000)
+    sp.add_argument("--levels", type=_int_at_least(2), default=8)
+    sp.add_argument("--samples", type=_int_at_least(100), default=100_000)
     sp.add_argument("--seed", type=non_negative_int, default=0)
     sp.add_argument("--mean-one", action="store_true", help="normalize the generator to E[W]=1")
     sp.add_argument("--out-structure", default="structure.csv")
@@ -221,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("spectrum", help="tabulate the multifractal spectrum")
     _add_law_flags(sp, require_r=False)
     sp.add_argument("--d", type=real, default=1.0, help="support dimension")
-    sp.add_argument("--points", type=positive_int, default=101)
+    sp.add_argument("--points", type=_int_at_least(2), default=101)
     sp.add_argument("--out", default="spectrum.csv")
     sp.set_defaults(func=cmd_spectrum)
 
@@ -230,8 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--preset", choices=["split", "leak", "smear"], default="split")
     sp.add_argument("--eps-grid", type=eps_grid, default=eps_grid("1e-1:1e-6"))
     sp.add_argument("--u2", type=real, default=0.3, help="leak target location")
-    sp.add_argument("--samples", type=non_negative_int, default=0,
-                    help="also estimate multiplier-level W1 with this many samples")
+    sp.add_argument("--samples", type=_int_at_least(10_000, zero_ok=True), default=0,
+                    help="also estimate multiplier-level W1 with this many samples (0: skip)")
     sp.add_argument("--seed", type=non_negative_int, default=0)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_stability)
@@ -242,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--beta", type=real, default=2.0 / 3.0)
     sp.add_argument("--bigC", type=real, default=2.0)
     sp.add_argument("--gamma", type=real, default=None)
-    sp.add_argument("--m-max", type=positive_int, default=25)
+    # classify needs the 5 entries m = 0..4
+    sp.add_argument("--m-max", type=_int_at_least(4), default=25)
     sp.set_defaults(func=cmd_classify_family)
 
     sp = sub.add_parser("determinacy", help="Carleman determinacy verdict for a generator")
@@ -255,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gamma", type=real, default=1.0 / 9.0)
     sp.add_argument("--k", type=positive_int, default=3)
     sp.add_argument("--r", type=real, default=0.5)
-    sp.add_argument("--P", type=positive_int, default=200)
+    sp.add_argument("--P", type=_int_at_least(10), default=200)
     sp.add_argument("--threshold", type=real, default=1e-6)
     sp.set_defaults(func=cmd_determinacy)
 

@@ -226,12 +226,33 @@ def sample_logW(gen, count: int, seed: int) -> np.ndarray:
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    return next(_sample_rows(gen, 1, count, seed))
+
+
+def _sample_rows(gen, rows: int, cols: int, seed: int):
+    """Yield `rows` arrays of `cols` draws of log W, one after the other.
+
+    Concatenated, the rows are sample_logW(gen, rows * cols, seed) byte
+    for byte: the stream is the same, only its output is cut into rows.
+    With one atom and no tail the rows are drawn as they are asked for,
+    so a caller that keeps O(1) rows keeps O(cols) memory apart from a
+    Gaussian part, which is drawn for all rows first because its draws
+    precede every Poisson count in the stream.  Consecutive Poisson
+    calls on one Generator give the counts of one large call.  Any
+    other table draws the whole sample and yields its rows: the tail's
+    uniforms follow every jump uniform, so it cannot stream without a
+    different stream.
+    """
     g = as_levy(gen)
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    count = rows * cols
+    gauss = rng.normal(0.0, math.sqrt(g.sigma2), size=count) if g.sigma2 > 0 else None
 
-    out = np.full(count, g.drift, dtype=float)
-    if g.sigma2 > 0:
-        out += rng.normal(0.0, math.sqrt(g.sigma2), size=count)
+    def base(i0, i1):  # the drift plus the Gaussian part of samples i0..i1-1
+        out = np.full(i1 - i0, g.drift, dtype=float)
+        if gauss is not None:
+            out += gauss[i0:i1]
+        return out
 
     table = [x for x, _ in g.atoms]
     rates = [w for _, w in g.atoms]
@@ -240,29 +261,47 @@ def sample_logW(gen, count: int, seed: int) -> np.ndarray:
         table.append(math.nan)  # atoms are finite, so NaN marks only the tail slot
         rates.append(tail.mass)
     if not rates:
-        return out
-
+        yield from base(0, count).reshape(rows, cols)
+        return
     cum = np.cumsum(rates)  # cum[-1] is the total jump rate
+
+    if len(table) == 1 and tail is None:
+        # Once any sample jumps, one call adds a prefix sum to every sample:
+        # 0.0 to a sample without a jump, which turns a -0.0 drift into 0.0.
+        # If none jumps it adds nothing, so rows before the first jump wait.
+        jumped, held = False, []
+        for i in range(rows):
+            out = base(i * cols, (i + 1) * cols)
+            n_jumps = rng.poisson(cum[-1], size=cols)
+            jumped = jumped or n_jumps.any()
+            if not jumped:
+                held.append(out)
+                continue
+            out += np.concatenate(([0.0], np.cumsum(np.full(n_jumps.max(), table[0]))))[n_jumps]
+            for early in held:
+                early += 0.0
+                yield early
+            held.clear()
+            yield out
+        yield from held
+        return
+
+    out = base(0, count)
     n_jumps = rng.poisson(cum[-1], size=count)
     t = int(n_jumps.sum())
-    if t == 0:
-        return out
-    if len(table) == 1 and tail is None:
-        out += np.concatenate(([0.0], np.cumsum(np.full(n_jumps.max(), table[0]))))[n_jumps]
-        return out
+    if t > 0:
+        # dividing by the table's own last entry makes the last edge exactly 1.0
+        sizes = np.take(table, np.searchsorted(cum / cum[-1], rng.random(t), side="right"))
+        if tail is not None:
+            sel = np.isnan(sizes)
+            # inverse-CDF draw from c*y**(-1-alpha) on [x_min, x_max], y = |x|
+            v = rng.random(int(sel.sum()))
+            lo, hi, a = tail.x_min ** -tail.alpha, tail.x_max ** -tail.alpha, tail.alpha
+            sizes[sel] = -((lo - v * (lo - hi)) ** (-1.0 / a))
 
-    # dividing by the table's own last entry makes the last edge exactly 1.0
-    sizes = np.take(table, np.searchsorted(cum / cum[-1], rng.random(t), side="right"))
-    if tail is not None:
-        sel = np.isnan(sizes)
-        # inverse-CDF draw from c*y**(-1-alpha) on [x_min, x_max], y = |x|
-        v = rng.random(int(sel.sum()))
-        lo, hi, a = tail.x_min ** -tail.alpha, tail.x_max ** -tail.alpha, tail.alpha
-        sizes[sel] = -((lo - v * (lo - hi)) ** (-1.0 / a))
-
-    sample_idx = np.repeat(np.arange(count), n_jumps)
-    out += np.bincount(sample_idx, weights=sizes, minlength=count)
-    return out
+        sample_idx = np.repeat(np.arange(count), n_jumps)
+        out += np.bincount(sample_idx, weights=sizes, minlength=count)
+    yield from out.reshape(rows, cols)
 
 
 def normalize_mean_one(gen):

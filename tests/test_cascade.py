@@ -1,5 +1,7 @@
 import io
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from hscascade import cascade
 from hscascade.cascade import (
     SimConfig,
     StructureTable,
@@ -21,6 +24,7 @@ from hscascade.cascade import (
 from hscascade.exponents import CascadeParams, ScalingLaw, conservation_gamma, delta, zeta
 from hscascade.generators import (
     LevyGenerator,
+    StableTail,
     logpoisson_from_scaling,
     normalize_mean_one,
     sample_logW,
@@ -105,6 +109,36 @@ def reference_ln_mean_and_jackknife(z):
     return ln_s, se
 
 
+def reference_simulate(config, gen):
+    """simulate before the pipeline: one sample_logW call, np.cumsum over levels, serial cells."""
+    nl, ns = config.n_levels, config.n_samples
+    branch = np.cumsum(sample_logW(gen, nl * ns, config.seed).reshape(nl, ns), axis=0)
+    z = np.empty(ns)
+    ln_s, se = np.array([
+        (0.0, 0.0) if p == 0.0 else _ln_mean_and_jackknife(np.multiply(p, level, out=z))
+        for p in config.p_list
+        for level in branch
+    ]).T
+    return ln_s, se
+
+
+@st.composite
+def cascade_generators(draw):
+    """One atom, 2-40 atoms or a StableTail, each with or without a Gaussian part."""
+    kind = draw(st.sampled_from(["one atom", "atoms", "tail"]))
+    sigma2 = draw(st.sampled_from([0.0, 0.2]))
+    drift = draw(st.floats(-0.5, 0.5))
+    if kind == "tail":
+        return LevyGenerator(drift=drift, sigma2=sigma2,
+                             tail=StableTail(alpha=draw(st.floats(0.1, 1.9)), c=0.05,
+                                             x_min=1e-3, x_max=1.0))
+    n_atoms = 1 if kind == "one atom" else draw(st.integers(2, 40))
+    x = st.floats(-1.0, -0.01) | st.floats(0.01, 0.3)
+    atoms = draw(st.lists(st.tuples(x, st.floats(0.01, 5.0 / n_atoms)),
+                          min_size=n_atoms, max_size=n_atoms))
+    return LevyGenerator(drift=drift, sigma2=sigma2, atoms=tuple(atoms))
+
+
 class TestJackknife:
     """The in-place jackknife returns the allocating one's floats exactly."""
 
@@ -122,8 +156,54 @@ class TestJackknife:
         assert expected[1] > 10.0
 
 
+class TestPipeline:
+    """The pipelined simulate returns the serial one's bytes and cleans up after a failure."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(gen=cascade_generators(), n_levels=st.integers(2, 6),
+           n_samples=st.integers(100, 3000), seed=st.integers(0, 2**32 - 1),
+           p_list=st.sampled_from([(), (0.0,), (0.0, 1.0, 2.5), (3.0, 7.5)]))
+    def test_matches_reference(self, gen, n_levels, n_samples, seed, p_list):
+        cfg = SimConfig(params=CascadeParams(r=0.5, k=3), n_levels=n_levels,
+                        n_samples=n_samples, seed=seed, p_list=p_list)
+        table = simulate(cfg, gen)
+        ln_s, se = reference_simulate(cfg, gen)
+        assert table.ln_s.tobytes() == ln_s.tobytes()
+        assert table.se.tobytes() == se.tobytes()
+
+    def test_matches_reference_under_fast_thread_switching(self):
+        # both threads read the levels; a switch every microsecond would expose
+        # any write to an array the other thread still reads
+        cfg = SimConfig(params=CascadeParams(r=0.5, k=3), n_levels=6, n_samples=20_000, seed=0)
+        ln_s, se = reference_simulate(cfg, SL_LP)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            tables = [simulate(cfg, SL_LP) for _ in range(5)]
+        finally:
+            sys.setswitchinterval(interval)
+        for table in tables:
+            assert table.ln_s.tobytes() == ln_s.tobytes() and table.se.tobytes() == se.tobytes()
+
+    def test_worker_error_is_raised_and_the_thread_ends(self, monkeypatch):
+        calls = []
+
+        def third_call_fails(z):
+            calls.append(None)
+            if len(calls) == 3:
+                raise RuntimeError("third cell")
+            return _ln_mean_and_jackknife(z)
+
+        monkeypatch.setattr(cascade, "_ln_mean_and_jackknife", third_call_fails)
+        cfg = SimConfig(params=CascadeParams(r=0.5, k=3), n_levels=6, n_samples=1000, seed=0)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="third cell"):
+            simulate(cfg, SL_LP)
+        assert threading.active_count() == threads
+
+
 class TestMemory:
-    """The traced peak stays within 4 x (8 B x total draws)."""
+    """The traced peak stays within 4 x (8 B x total draws), and simulate's within 10 x one level."""
 
     def traced_peak(self, run):
         tracemalloc.start()
@@ -141,6 +221,12 @@ class TestMemory:
         cfg = SimConfig(params=CascadeParams(r=0.5, k=3), n_levels=8, n_samples=125_000, seed=0)
         peak = self.traced_peak(lambda: simulate(cfg, SL_LP))
         assert peak <= 4 * 8 * 8 * 125_000
+
+    def test_simulate_independent_of_levels(self):
+        # the pipelined simulate keeps a few levels, not all 16: at most 10 x (8 B x n_samples)
+        cfg = SimConfig(params=CascadeParams(r=0.5, k=3), n_levels=16, n_samples=125_000, seed=0)
+        peak = self.traced_peak(lambda: simulate(cfg, SL_LP))
+        assert peak <= 10 * 8 * 125_000
 
 
 class TestEstimateZeta:

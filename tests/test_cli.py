@@ -72,6 +72,29 @@ class TestUsageErrors:
                                "--gamma", "nan", "--out", str(tmp_path / "x.csv"))
         assert "not a finite number" in err
 
+    @pytest.mark.parametrize("grid", ["1e200:1e-200", "inf:1e-6"])
+    def test_eps_grid_ratio_overflow(self, capsys, grid):
+        err = self.usage_error(capsys, "stability", "--beta", "2/3", "--bigC", "2",
+                               "--r", "0.5", "--eps-grid", grid)
+        assert "finite HI/LO" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--beta", "2/3", "--bigC", "2", "--r", "0.5", "--samples", "50"],
+         "--samples: must be >= 100"),
+        (["simulate", "--beta", "2/3", "--bigC", "2", "--r", "0.5", "--levels", "1"],
+         "--levels: must be >= 2"),
+        (["stability", "--beta", "2/3", "--bigC", "2", "--r", "0.5", "--samples", "5000"],
+         "--samples: must be 0 or >= 10000"),
+        (["determinacy", "--P", "5"], "--P: must be >= 10"),
+        (["spectrum", "--beta", "2/3", "--bigC", "2", "--points", "1"], "--points: must be >= 2"),
+        (["classify-family", "--m-max", "1"], "--m-max: must be >= 4"),
+        (["classify-family", "--m-max", "3"], "--m-max: must be >= 4"),  # classify needs m = 0..4
+    ])
+    def test_below_library_minimum(self, capsys, tmp_path, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)  # nothing is written, but the defaults name files
+        err = self.usage_error(capsys, *argv)
+        assert message in err
+
     def test_removed_flags(self, capsys):
         self.usage_error(capsys, "--threads", "2", "classify-family")
         self.usage_error(capsys, "simulate", "--gen", "log-poisson", "--beta", "2/3",

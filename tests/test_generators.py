@@ -1,6 +1,7 @@
 import functools
 import math
 import operator
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from scipy import integrate
 from hscascade.exponents import ScalingLaw, zeta
 from hscascade.generators import (
     LevyGenerator,
+    _sample_rows,
     LogPoissonParams,
     StableTail,
     as_levy,
@@ -543,3 +545,25 @@ class TestRandomStream:
         wb = np.sort(np.exp(reference_sample_logW(SL_LP, 200_000, 3)))
         expected = float(np.abs(wa - wb).mean())
         assert empirical_w1_multipliers(pert, SL_LP, 200_000, 3) == expected
+
+
+class TestSampleRows:
+    """The rows of _sample_rows are sample_logW's draws of one call, cut into rows."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(gen=sampled_generators() | one_atom_generators()
+           | one_atom_generators().map(lambda g: replace(as_levy(g), drift=-0.0)),
+           rows=st.integers(1, 8), cols=st.integers(1, 700), seed=st.integers(0, 2**32 - 1))
+    def test_rows_concatenate_to_one_call(self, gen, rows, cols, seed):
+        got = np.concatenate(list(_sample_rows(gen, rows, cols, seed)))
+        assert got.tobytes() == sample_logW(gen, rows * cols, seed).tobytes()
+
+    def test_rows_before_the_first_jump(self):
+        # At rate 0.05 most rows of 4 draws have no jump.  One call adds 0.0 to
+        # them, turning the -0.0 drift into 0.0, if and only if some row jumps;
+        # seeds 0-39 hold runs where no row, the first row, or only a later row jumps.
+        gen = LevyGenerator(drift=-0.0, atoms=((-0.3, 0.05),))
+        for seed in range(40):
+            rows = list(_sample_rows(gen, 6, 4, seed))
+            assert [len(row) for row in rows] == [4] * 6
+            assert np.concatenate(rows).tobytes() == sample_logW(gen, 24, seed).tobytes()
