@@ -80,7 +80,7 @@ class StructureTable:
 
     @classmethod
     def from_csv(cls, path) -> "StructureTable":
-        meta, rows = _read_csv(path, ("p", "n", "ln_S", "se"))
+        meta, rows = _read_csv(path, ("p", "n", "ln_S", "se"), cell=float)
         arr = np.asarray(rows, dtype=float)
         return cls(p=arr[:, 0], n=arr[:, 1].astype(int), ln_s=arr[:, 2], se=arr[:, 3], metadata=meta)
 
@@ -107,7 +107,7 @@ class ZetaEstimate:
 
     @classmethod
     def from_csv(cls, path) -> "ZetaEstimate":
-        meta, rows = _read_csv(path, ("p", "zeta_hat", "se"))
+        meta, rows = _read_csv(path, ("p", "zeta_hat", "se"), cell=float)
         arr = np.asarray(rows, dtype=float)
         return cls(p=arr[:, 0], zeta_hat=arr[:, 1], se=arr[:, 2], metadata=meta)
 
@@ -131,7 +131,19 @@ def write_csv(path, meta: dict, header, rows) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _read_csv(path, expected_header):
+def _uncell(text: str):
+    """The inverse of _cell: true/false, an empty cell as None, otherwise a float."""
+    word = text.strip()
+    if word in ("true", "false"):
+        return word == "true"
+    return None if word == "" else float(word)
+
+
+def _read_csv(path, expected_header, cell=_uncell):
+    """Read back what write_csv writes: (metadata, rows), each cell parsed by `cell`.
+
+    The numeric tables pass cell=float, so a word or an empty cell is an error there.
+    """
     meta = {}
     with nullcontext(path) if hasattr(path, "read") else open(path) as fh:
         lines = fh.read().splitlines()
@@ -152,7 +164,7 @@ def _read_csv(path, expected_header):
         if len(parts) != len(expected_header):
             raise ValueError(f"row {ln_no}: expected {len(expected_header)} columns, got {len(parts)}")
         try:
-            rows.append([float(v) for v in parts])
+            rows.append([cell(v) for v in parts])
         except ValueError as exc:
             raise ValueError(f"row {ln_no}: {exc}") from None
     if not rows:
@@ -191,9 +203,10 @@ def simulate(config: SimConfig, gen) -> StructureTable:
     NumPy calls that release the GIL.  Each cell is a pure function of
     its level and each level is the sum the cumulative sum over levels
     makes, so the results do not depend on timing and are the same bytes
-    as a serial run.  At most two levels wait for the worker, which
-    keeps memory O(n_samples) for any n_levels when the generator
-    streams (see generators._sample_rows).
+    as a serial run.  At most two levels wait for the worker, and every
+    generator streams its levels (see generators._sample_rows), so
+    memory is O(n_samples) plus the jumps of one level; a generator with
+    several atoms or a StableTail adds its Poisson counts, 8 B per draw.
     """
     nl, ns = config.n_levels, config.n_samples
     z = np.empty(ns)  # the worker's scratch buffer, refilled for every (p, n)

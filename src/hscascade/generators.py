@@ -18,6 +18,7 @@ raise instead of saturating.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass, replace
@@ -217,16 +218,36 @@ def sample_logW(gen, count: int, seed: int) -> np.ndarray:
     comparisons).  Every jump is then sized from one jump table, the
     atom locations followed by a NaN slot for a StableTail, at an index
     drawn from the categorical law of the cumulative rates; the tail's
-    slots are filled by an inverse-CDF draw.
+    slots are filled by an inverse-CDF draw whose uniforms follow every
+    jump uniform in the stream.
 
     A table of one atom and no tail draws nothing after the counts: a
     sample with j jumps gets the j-th prefix sum x + x + ... + x, the
     same left-to-right sum the general path accumulates, so the output
     is bit-identical and the counts keep their common random numbers.
+    This is the one-row case of _sample_rows, which streams.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     return next(_sample_rows(gen, 1, count, seed))
+
+
+def _ahead(rng, n: int):
+    """A second Generator on rng's Philox stream that starts n doubles later.
+
+    Philox is counter-based: each counter step makes four 64-bit outputs
+    and every double takes one.  The copy uses up its buffered outputs,
+    skips whole steps with advance() (which drops the buffer, so it runs
+    only once the buffer is empty) and draws the remainder.
+    """
+    bits = copy.deepcopy(rng.bit_generator)
+    cursor = np.random.Generator(bits)
+    ahead = min(n, 4 - bits.state["buffer_pos"])
+    cursor.random(ahead)
+    if n - ahead >= 4:
+        bits.advance((n - ahead) // 4)
+    cursor.random((n - ahead) % 4)
+    return cursor
 
 
 def _sample_rows(gen, rows: int, cols: int, seed: int):
@@ -234,24 +255,25 @@ def _sample_rows(gen, rows: int, cols: int, seed: int):
 
     Concatenated, the rows are sample_logW(gen, rows * cols, seed) byte
     for byte: the stream is the same, only its output is cut into rows.
-    With one atom and no tail the rows are drawn as they are asked for,
-    so a caller that keeps O(1) rows keeps O(cols) memory apart from a
-    Gaussian part, which is drawn for all rows first because its draws
-    precede every Poisson count in the stream.  Consecutive Poisson
-    calls on one Generator give the counts of one large call.  Any
-    other table draws the whole sample and yields its rows: the tail's
-    uniforms follow every jump uniform, so it cannot stream without a
-    different stream.
+    Every generator streams.  A Gaussian part is drawn for all rows
+    first, because its draws precede every Poisson count in the stream.
+    With one atom and no tail each row then draws its own counts
+    (consecutive calls on one Generator give the values of one large
+    call).  Any other table draws the counts of all rows, which fix the
+    total jump count t, then reads each row's jump uniforms from the
+    main stream and its tail uniforms from a second cursor placed t
+    draws ahead (see _ahead), so the stream does not change.  Memory is
+    8 B per draw for a Gaussian part and, on the general path, for the
+    counts, plus O(cols + jumps in one row).
     """
     g = as_levy(gen)
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    count = rows * cols
-    gauss = rng.normal(0.0, math.sqrt(g.sigma2), size=count) if g.sigma2 > 0 else None
+    gauss = rng.normal(0.0, math.sqrt(g.sigma2), size=rows * cols) if g.sigma2 > 0 else None
 
-    def base(i0, i1):  # the drift plus the Gaussian part of samples i0..i1-1
-        out = np.full(i1 - i0, g.drift, dtype=float)
+    def base(i):  # the drift plus the Gaussian part of row i
+        out = np.full(cols, g.drift, dtype=float)
         if gauss is not None:
-            out += gauss[i0:i1]
+            out += gauss[i * cols:(i + 1) * cols]
         return out
 
     table = [x for x, _ in g.atoms]
@@ -261,7 +283,7 @@ def _sample_rows(gen, rows: int, cols: int, seed: int):
         table.append(math.nan)  # atoms are finite, so NaN marks only the tail slot
         rates.append(tail.mass)
     if not rates:
-        yield from base(0, count).reshape(rows, cols)
+        yield from map(base, range(rows))
         return
     cum = np.cumsum(rates)  # cum[-1] is the total jump rate
 
@@ -271,7 +293,7 @@ def _sample_rows(gen, rows: int, cols: int, seed: int):
         # If none jumps it adds nothing, so rows before the first jump wait.
         jumped, held = False, []
         for i in range(rows):
-            out = base(i * cols, (i + 1) * cols)
+            out = base(i)
             n_jumps = rng.poisson(cum[-1], size=cols)
             jumped = jumped or n_jumps.any()
             if not jumped:
@@ -286,22 +308,37 @@ def _sample_rows(gen, rows: int, cols: int, seed: int):
         yield from held
         return
 
-    out = base(0, count)
-    n_jumps = rng.poisson(cum[-1], size=count)
+    n_jumps = rng.poisson(cum[-1], size=(rows, cols))
     t = int(n_jumps.sum())
-    if t > 0:
-        # dividing by the table's own last entry makes the last edge exactly 1.0
-        sizes = np.take(table, np.searchsorted(cum / cum[-1], rng.random(t), side="right"))
+    if t == 0:
+        yield from map(base, range(rows))
+        return
+    # dividing by the table's own last entry makes the last edge exactly 1.0
+    edges = cum / cum[-1]
+    if tail is not None:
+        tail_rng = _ahead(rng, t)  # the tail's uniforms follow all t jump uniforms
+        lo, hi, a = tail.x_min ** -tail.alpha, tail.x_max ** -tail.alpha, tail.alpha
+    owner = np.arange(cols)
+
+    def jumps(nj):  # the summed jumps of one row; its arrays are freed before the row is yielded
+        sizes = np.take(table, np.searchsorted(edges, rng.random(int(nj.sum())), side="right"))
         if tail is not None:
             sel = np.isnan(sizes)
-            # inverse-CDF draw from c*y**(-1-alpha) on [x_min, x_max], y = |x|
-            v = rng.random(int(sel.sum()))
-            lo, hi, a = tail.x_min ** -tail.alpha, tail.x_max ** -tail.alpha, tail.alpha
-            sizes[sel] = -((lo - v * (lo - hi)) ** (-1.0 / a))
+            # inverse-CDF draw from c*y**(-1-alpha) on [x_min, x_max], y = |x|:
+            # -((lo - v*(lo - hi)) ** (-1/a)), one step at a time in v
+            v = tail_rng.random(int(sel.sum()))
+            v *= lo - hi
+            np.subtract(lo, v, out=v)
+            v **= -1.0 / a
+            sizes[sel] = np.negative(v, out=v)
+            del sel, v  # before repeat() allocates
+        # each sample's jumps are contiguous and in order, so it sums them as one call would
+        return np.bincount(np.repeat(owner, nj), weights=sizes, minlength=cols)
 
-        sample_idx = np.repeat(np.arange(count), n_jumps)
-        out += np.bincount(sample_idx, weights=sizes, minlength=count)
-    yield from out.reshape(rows, cols)
+    for i, nj in enumerate(n_jumps):
+        out = base(i)
+        out += jumps(nj)
+        yield out
 
 
 def normalize_mean_one(gen):

@@ -74,10 +74,6 @@ class UnitMeasure:
     def mass(self) -> float:
         return float(self.w.sum())
 
-    @property
-    def total_variation(self) -> float:
-        return float(np.abs(self.w).sum())
-
     def normalized(self) -> "UnitMeasure":
         if self.kind != "positive":
             raise ValueError("only positive measures can be normalized")

@@ -219,12 +219,12 @@ def classify(series: DeltaSeries, tol: float | None = None) -> A1Report:
     verdict = "other"
     # Power decay is detected on first differences, which are free of the
     # fitted asymptote: their successive ratios increase toward 1, while a
-    # geometric series keeps them constant at beta < 1.
-    ratios = diffs[1:] / diffs[:-1]
+    # geometric series keeps them constant at beta < 1.  The sign test
+    # comes first, so the ratios never divide by a zero difference.
     if (
-        len(ratios) >= 4
+        len(diffs) >= 5
         and (np.all(diffs > 0) or np.all(diffs < 0))
-        and np.all((ratios > 0) & (ratios < 1))
+        and np.all(((ratios := diffs[1:] / diffs[:-1]) > 0) & (ratios < 1))
         and np.all(np.diff(ratios) > -1e-9)
         and ratios[-1] - ratios[0] > 0.01
     ):

@@ -1,4 +1,5 @@
 import io
+import json
 import math
 import sys
 import threading
@@ -16,10 +17,12 @@ from hscascade.cascade import (
     StructureTable,
     ZetaEstimate,
     _ln_mean_and_jackknife,
+    _read_csv,
     default_p_list,
     estimate_deltas,
     estimate_zeta,
     simulate,
+    write_csv,
 )
 from hscascade.exponents import CascadeParams, ScalingLaw, conservation_gamma, delta, zeta
 from hscascade.generators import (
@@ -29,6 +32,7 @@ from hscascade.generators import (
     normalize_mean_one,
     sample_logW,
 )
+from hscascade.spectrum import SpectrumCurve
 
 SL = ScalingLaw(gamma=1.0 / 9.0, big_c=2.0, beta=2.0 / 3.0, k=3)
 SL_LP = logpoisson_from_scaling(SL, 0.5)
@@ -203,7 +207,8 @@ class TestPipeline:
 
 
 class TestMemory:
-    """The traced peak stays within 4 x (8 B x total draws), and simulate's within 10 x one level."""
+    """The traced peak stays within 4 x (8 B x total draws); simulate's, at 16 levels, within
+    10 x one level for the one-atom law and 80 x for a stable tail."""
 
     def traced_peak(self, run):
         tracemalloc.start()
@@ -227,6 +232,14 @@ class TestMemory:
         cfg = SimConfig(params=CascadeParams(r=0.5, k=3), n_levels=16, n_samples=125_000, seed=0)
         peak = self.traced_peak(lambda: simulate(cfg, SL_LP))
         assert peak <= 10 * 8 * 125_000
+
+    def test_simulate_streams_a_stable_tail(self):
+        # ~10 jumps per draw: the rows stream, so the peak holds the counts of every
+        # level and the jumps of one row, at most 80 x (8 B x n_samples) at 16 levels
+        gen = LevyGenerator(drift=SL_LP.a, tail=StableTail(alpha=0.5, c=0.05, x_min=1e-4, x_max=1.0))
+        cfg = SimConfig(params=CascadeParams(r=0.5, k=3), n_levels=16, n_samples=125_000, seed=0)
+        peak = self.traced_peak(lambda: simulate(cfg, gen))
+        assert peak <= 80 * 8 * 125_000
 
 
 class TestEstimateZeta:
@@ -359,6 +372,76 @@ class TestCsvRoundTrip:
     def test_empty_or_header_only_csv(self, text, message):
         with pytest.raises(ValueError, match=message):
             ZetaEstimate.from_csv(io.StringIO(text))
+
+
+# finite floats, -0.0 and subnormals included, and JSON-able metadata
+FLOATS = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | FLOATS | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+METADATA = st.dictionaries(st.text(), JSON, max_size=4)
+
+
+def exact(values):
+    """Values with every float as its hex string, so -0.0 and 0.0 differ."""
+    return [v.hex() if isinstance(v, float) else v for v in values]
+
+
+def round_trip(write):
+    stream = io.StringIO()
+    write(stream)
+    stream.seek(0)
+    return stream
+
+
+class TestCsvRoundTripProperties:
+    """Every CSV writer's file reads back byte for byte in every column."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_rows=st.integers(1, 20), data=st.data(), meta=METADATA)
+    def test_structure_table(self, n_rows, data, meta):
+        column = hnp.arrays(float, n_rows, elements=FLOATS)
+        table = StructureTable(
+            p=data.draw(column), n=data.draw(hnp.arrays(np.int64, n_rows, elements=st.integers(0, 2**31))),
+            ln_s=data.draw(column), se=data.draw(column), metadata=meta,
+        )
+        back = StructureTable.from_csv(round_trip(table.to_csv))
+        for name in ("p", "n", "ln_s", "se"):
+            got, want = getattr(back, name), getattr(table, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert json.dumps(back.metadata) == json.dumps(meta)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_rows=st.integers(1, 20), data=st.data(), meta=METADATA)
+    def test_zeta_estimate(self, n_rows, data, meta):
+        column = hnp.arrays(float, n_rows, elements=FLOATS)
+        z = ZetaEstimate(p=data.draw(column), zeta_hat=data.draw(column), se=data.draw(column),
+                         metadata=meta)
+        back = ZetaEstimate.from_csv(round_trip(z.to_csv))
+        for name in ("p", "zeta_hat", "se"):
+            assert getattr(back, name).tobytes() == getattr(z, name).tobytes()
+        assert json.dumps(back.metadata) == json.dumps(meta)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(st.tuples(FLOATS, FLOATS), min_size=1, max_size=20))
+    def test_spectrum_curve(self, rows):
+        h, f = zip(*rows)
+        curve = SpectrumCurve(law=SL, d=3.0, h=h, f=f)
+        meta, back = _read_csv(round_trip(curve.to_csv), ("h", "f"))
+        assert [exact(row) for row in back] == [exact(row) for row in rows]
+        assert meta["negative_f"] == curve.has_negative_values
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(st.tuples(FLOATS, FLOATS, FLOATS, st.booleans(), st.none() | FLOATS),
+                         min_size=1, max_size=20), meta=METADATA)
+    def test_stability_rows(self, rows, meta):
+        # the header and cells of `hscascade stability`: a boolean and an optional float
+        header = ("epsilon", "w1_levy", "bound", "bound_ok", "w1_multiplier")
+        back_meta, back = _read_csv(round_trip(lambda fh: write_csv(fh, meta, header, rows)), header)
+        assert [exact(row) for row in back] == [exact(row) for row in rows]
+        assert json.dumps(back_meta) == json.dumps(meta)
 
 
 class TestConfigValidation:

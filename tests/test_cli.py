@@ -227,6 +227,11 @@ class TestClassifyFamily:
             "log-stable": "power-decay",
         }
 
+    def test_tiny_beta_exits_0_with_empty_stderr(self, capsys):
+        code, _, err = run(capsys, "classify-family", "--beta", "1e-300")
+        assert code == 0
+        assert err == ""
+
 
 class TestDeterminacy:
     def test_log_normal(self, capsys):

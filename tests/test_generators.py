@@ -13,6 +13,7 @@ from scipy import integrate
 from hscascade.exponents import ScalingLaw, zeta
 from hscascade.generators import (
     LevyGenerator,
+    _ahead,
     _sample_rows,
     LogPoissonParams,
     StableTail,
@@ -567,3 +568,43 @@ class TestSampleRows:
             rows = list(_sample_rows(gen, 6, 4, seed))
             assert [len(row) for row in rows] == [4] * 6
             assert np.concatenate(rows).tobytes() == sample_logW(gen, 24, seed).tobytes()
+
+    @pytest.mark.parametrize("gen", [
+        # a tail of mass 0.03 per draw: some seeds draw no jump, most leave rows without one
+        LevyGenerator(drift=-0.0, tail=StableTail(alpha=0.5, c=0.03 * 0.5 / 99.0,
+                                                  x_min=1e-4, x_max=1.0)),
+        LevyGenerator(drift=-0.0, atoms=((-0.3, 0.01), (0.2, 0.02))),
+    ])
+    def test_general_path_rows_without_jumps(self, gen):
+        # Whenever any draw jumps, every row adds its bincount, turning the -0.0
+        # drift into 0.0 where one call does; seeds 0-39 hold runs where no row,
+        # the first row, or only a later row jumps.
+        total_rate = np.cumsum([w for _, w in gen.atoms] + ([gen.tail.mass] if gen.tail else []))[-1]
+        seen = set()
+        for seed in range(40):
+            rows = list(_sample_rows(gen, 8, 4, seed))
+            assert [len(row) for row in rows] == [4] * 8
+            got = np.concatenate(rows).tobytes()
+            assert got == sample_logW(gen, 32, seed).tobytes()
+            assert got == reference_sample_logW(gen, 32, seed).tobytes()
+            rng = np.random.Generator(np.random.Philox(key=seed))
+            per_row = rng.poisson(total_rate, (8, 4)).sum(axis=1)  # the sampler's counts
+            seen.add("none" if not per_row.any() else "first" if per_row[0] else "later")
+        assert seen == {"none", "first", "later"}
+
+
+class TestAhead:
+    """_ahead(rng, n) starts where rng stands after n more doubles, wherever its buffer is."""
+
+    @pytest.mark.parametrize("start", range(4))
+    @pytest.mark.parametrize("n", [*range(10), 1003, 10**6 + 3])
+    def test_starts_n_draws_later(self, start, n):
+        rng = np.random.Generator(np.random.Philox(key=17))
+        rng.random(start)  # 0-3 doubles leave each position of Philox's 4-output buffer
+        cursor = _ahead(rng, n)
+        one = np.random.Generator(np.random.Philox(key=17))
+        one.random(start + n)
+        expected = one.random(11).tobytes()
+        assert cursor.random(11).tobytes() == expected
+        rng.random(n)  # and rng itself has not moved
+        assert rng.random(11).tobytes() == expected

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -115,6 +116,15 @@ class TestClassify:
         )
         report = classify(delta_series_analytic(gen, 0.5, 1, 25))
         assert report.verdict == "power-decay"
+
+    def test_tiny_beta_gives_no_warning(self):
+        # beta**m underflows to 0, so the first differences end in exact zeros;
+        # classify must not divide by them
+        series = delta_series_exact(ScalingLaw(gamma=1.0 / 9.0, big_c=2.0, beta=1e-300, k=3), 25)
+        assert 0.0 in np.diff(series.delta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            classify(series)
 
     def test_needs_five_entries(self):
         with pytest.raises(ValueError):
