@@ -9,6 +9,7 @@ the independent branch realizations.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -205,21 +206,25 @@ def simulate(config: SimConfig, gen) -> StructureTable:
     makes, so the results do not depend on timing and are the same bytes
     as a serial run.  At most two levels wait for the worker, and every
     generator streams its levels (see generators._sample_rows), so
-    memory is O(n_samples) plus the jumps of one level; a generator with
-    several atoms or a StableTail adds its Poisson counts, 8 B per draw.
+    memory is O(n_samples) plus the jumps of one level; any generator but
+    one atom without a tail adds its Poisson counts, 8 B per draw.
+    A cell whose ln S_p or jackknife error overflows raises OverflowError.
     """
     nl, ns = config.n_levels, config.n_samples
     z = np.empty(ns)  # the worker's scratch buffer, refilled for every (p, n)
 
     def cells(level):  # (ln_S, se) per order of one level, in the worker
-        return [(0.0, 0.0) if p == 0.0 else _ln_mean_and_jackknife(np.multiply(p, level, out=z))
-                for p in config.p_list]
+        with np.errstate(over="ignore", invalid="ignore"):  # reported as OverflowError below
+            out = [(0.0, 0.0) if p == 0.0 else _ln_mean_and_jackknife(np.multiply(p, level, out=z))
+                   for p in config.p_list]
+        if not np.isfinite(out).all():
+            raise OverflowError("ln S_p or its jackknife error is not finite: log W is too large")
+        return out
 
     futures = []
     with ThreadPoolExecutor(max_workers=1) as worker:
-        branch = None  # log Phi(r^n) per sample
-        for row in _sample_rows(gen, nl, ns, config.seed):
-            branch = row if branch is None else branch + row
+        # branch: log Phi(r^n) per sample, the running sum of the levels' draws
+        for branch in itertools.accumulate(_sample_rows(gen, nl, ns, config.seed)):
             if len(futures) >= 2:
                 futures[-2].result()  # level n-2 is done before level n is queued
             futures.append(worker.submit(cells, branch))

@@ -271,7 +271,7 @@ def main(argv=None) -> int:
         parser.error("--gen json requires --gen-json")
     try:
         return args.func(args)
-    except (ValueError, OverflowError, OSError, KeyError) as exc:
+    except (ValueError, OverflowError, MemoryError, OSError, KeyError) as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 1

@@ -51,6 +51,11 @@ def _check_beta(beta: float) -> float:
     return beta
 
 
+def _check_dimension(d: float) -> None:
+    if not d > 0:
+        raise ValueError(f"support dimension d must be > 0, got {d}")
+
+
 @dataclass(frozen=True)
 class CascadeParams:
     """Scale ratio r, hierarchy step k, and support dimension d."""
@@ -64,8 +69,7 @@ class CascadeParams:
             raise ValueError(f"scale ratio r must lie in (0,1), got {self.r}")
         if int(self.k) != self.k or self.k < 1:
             raise ValueError(f"hierarchy step k must be a positive integer, got {self.k}")
-        if not self.d > 0:
-            raise ValueError(f"support dimension d must be > 0, got {self.d}")
+        _check_dimension(self.d)
         object.__setattr__(self, "k", int(self.k))
 
 
@@ -138,6 +142,8 @@ class DeltaSeries:
             se = tuple(float(v) for v in se)
             if len(se) != len(d):
                 raise ValueError("stderr must match delta length")
+            if not all(0.0 <= v < math.inf for v in se):
+                raise ValueError(f"stderr entries must be finite and >= 0, got {se}")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "delta", d)
         object.__setattr__(self, "stderr", se)

@@ -110,6 +110,8 @@ class LevyGenerator:
     def __post_init__(self):
         if not math.isfinite(self.drift):
             raise ValueError(f"drift must be finite, got {self.drift}")
+        # + 0.0 turns a -0.0 drift into 0.0, so adding a 0.0 jump sum keeps every sample's bytes
+        object.__setattr__(self, "drift", float(self.drift) + 0.0)
         if not 0 <= self.sigma2 < math.inf:
             raise ValueError(f"Gaussian variance must be finite and >= 0, got {self.sigma2}")
         atoms = tuple((float(x), float(w)) for x, w in self.atoms)
@@ -219,13 +221,11 @@ def sample_logW(gen, count: int, seed: int) -> np.ndarray:
     atom locations followed by a NaN slot for a StableTail, at an index
     drawn from the categorical law of the cumulative rates; the tail's
     slots are filled by an inverse-CDF draw whose uniforms follow every
-    jump uniform in the stream.
-
-    A table of one atom and no tail draws nothing after the counts: a
-    sample with j jumps gets the j-th prefix sum x + x + ... + x, the
-    same left-to-right sum the general path accumulates, so the output
-    is bit-identical and the counts keep their common random numbers.
-    This is the one-row case of _sample_rows, which streams.
+    jump uniform in the stream.  A table of one atom and no tail draws
+    nothing after the counts: a sample with j jumps gets the j-th prefix
+    sum x + x + ... + x, the same left-to-right sum as the general path,
+    so the output is bit-identical and the counts keep their common
+    random numbers.  This is the one-row case of _sample_rows.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -255,89 +255,65 @@ def _sample_rows(gen, rows: int, cols: int, seed: int):
 
     Concatenated, the rows are sample_logW(gen, rows * cols, seed) byte
     for byte: the stream is the same, only its output is cut into rows.
-    Every generator streams.  A Gaussian part is drawn for all rows
-    first, because its draws precede every Poisson count in the stream.
-    With one atom and no tail each row then draws its own counts
-    (consecutive calls on one Generator give the values of one large
-    call).  Any other table draws the counts of all rows, which fix the
-    total jump count t, then reads each row's jump uniforms from the
-    main stream and its tail uniforms from a second cursor placed t
-    draws ahead (see _ahead), so the stream does not change.  Memory is
-    8 B per draw for a Gaussian part and, on the general path, for the
-    counts, plus O(cols + jumps in one row).
+    A Gaussian part is drawn for all rows first, because its draws
+    precede every Poisson count in the stream.  With one atom and no
+    tail each row then draws its own counts (consecutive calls on one
+    Generator give the values of one large call).  Any other table draws
+    the counts of all rows, which fix the total jump count t, then reads
+    each row's jump uniforms from the main stream and its tail uniforms
+    from a second cursor placed t draws ahead (see _ahead).  Every row
+    adds its jump sums, 0.0 where a sample has none; LevyGenerator
+    stores its drift without a negative zero, so that leaves the sample
+    unchanged.  Memory is 8 B per draw for a Gaussian part and, on the
+    general path, for the counts, plus O(cols + jumps in one row).
     """
     g = as_levy(gen)
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     gauss = rng.normal(0.0, math.sqrt(g.sigma2), size=rows * cols) if g.sigma2 > 0 else None
-
-    def base(i):  # the drift plus the Gaussian part of row i
-        out = np.full(cols, g.drift, dtype=float)
-        if gauss is not None:
-            out += gauss[i * cols:(i + 1) * cols]
-        return out
-
     table = [x for x, _ in g.atoms]
     rates = [w for _, w in g.atoms]
     tail = g.tail
     if tail is not None:
         table.append(math.nan)  # atoms are finite, so NaN marks only the tail slot
         rates.append(tail.mass)
-    if not rates:
-        yield from map(base, range(rows))
-        return
-    cum = np.cumsum(rates)  # cum[-1] is the total jump rate
+    cum = np.cumsum(rates)
+    rate = cum[-1] if rates else 0.0  # the total jump rate
 
     if len(table) == 1 and tail is None:
-        # Once any sample jumps, one call adds a prefix sum to every sample:
-        # 0.0 to a sample without a jump, which turns a -0.0 drift into 0.0.
-        # If none jumps it adds nothing, so rows before the first jump wait.
-        jumped, held = False, []
-        for i in range(rows):
-            out = base(i)
-            n_jumps = rng.poisson(cum[-1], size=cols)
-            jumped = jumped or n_jumps.any()
-            if not jumped:
-                held.append(out)
-                continue
-            out += np.concatenate(([0.0], np.cumsum(np.full(n_jumps.max(), table[0]))))[n_jumps]
-            for early in held:
-                early += 0.0
-                yield early
-            held.clear()
-            yield out
-        yield from held
-        return
-
-    n_jumps = rng.poisson(cum[-1], size=(rows, cols))
-    t = int(n_jumps.sum())
-    if t == 0:
-        yield from map(base, range(rows))
-        return
-    # dividing by the table's own last entry makes the last edge exactly 1.0
-    edges = cum / cum[-1]
-    if tail is not None:
-        tail_rng = _ahead(rng, t)  # the tail's uniforms follow all t jump uniforms
-        lo, hi, a = tail.x_min ** -tail.alpha, tail.x_max ** -tail.alpha, tail.alpha
-    owner = np.arange(cols)
-
-    def jumps(nj):  # the summed jumps of one row; its arrays are freed before the row is yielded
-        sizes = np.take(table, np.searchsorted(edges, rng.random(int(nj.sum())), side="right"))
+        def jumps(i):  # the j-th prefix sum x + ... + x for a sample with j jumps
+            nj = rng.poisson(rate, size=cols)
+            return np.concatenate(([0.0], np.cumsum(np.full(nj.max(), table[0]))))[nj]
+    else:
+        n_jumps = rng.poisson(rate, size=(rows, cols))
+        t = int(n_jumps.sum())
+        # dividing by the table's own last entry makes the last edge exactly 1.0
+        edges = cum / rate
         if tail is not None:
-            sel = np.isnan(sizes)
-            # inverse-CDF draw from c*y**(-1-alpha) on [x_min, x_max], y = |x|:
-            # -((lo - v*(lo - hi)) ** (-1/a)), one step at a time in v
-            v = tail_rng.random(int(sel.sum()))
-            v *= lo - hi
-            np.subtract(lo, v, out=v)
-            v **= -1.0 / a
-            sizes[sel] = np.negative(v, out=v)
-            del sel, v  # before repeat() allocates
-        # each sample's jumps are contiguous and in order, so it sums them as one call would
-        return np.bincount(np.repeat(owner, nj), weights=sizes, minlength=cols)
+            tail_rng = _ahead(rng, t)  # the tail's uniforms follow all t jump uniforms
+            lo, hi, a = tail.x_min ** -tail.alpha, tail.x_max ** -tail.alpha, tail.alpha
+        owner = np.arange(cols)
 
-    for i, nj in enumerate(n_jumps):
-        out = base(i)
-        out += jumps(nj)
+        def jumps(i):  # the summed jumps of row i; its arrays are freed before it is yielded
+            nj = n_jumps[i]
+            sizes = np.take(table, np.searchsorted(edges, rng.random(int(nj.sum())), side="right"))
+            if tail is not None:
+                sel = np.isnan(sizes)
+                # inverse-CDF draw from c*y**(-1-alpha) on [x_min, x_max], y = |x|:
+                # -((lo - v*(lo - hi)) ** (-1/a)), one step at a time in v
+                v = tail_rng.random(int(sel.sum()))
+                v *= lo - hi
+                np.subtract(lo, v, out=v)
+                v **= -1.0 / a
+                sizes[sel] = np.negative(v, out=v)
+                del sel, v  # before repeat() allocates
+            # each sample's jumps are contiguous and in order, so it sums them as one call would
+            return np.bincount(np.repeat(owner, nj), weights=sizes, minlength=cols)
+
+    for i in range(rows):
+        out = np.full(cols, g.drift, dtype=float)
+        if gauss is not None:
+            out += gauss[i * cols:(i + 1) * cols]
+        out += jumps(i)
         yield out
 
 
@@ -378,6 +354,8 @@ def determinacy_verdict(gen, P: int = 200, threshold: float = 1e-6) -> str:
     """
     if P < 10:
         raise ValueError(f"P must be >= 10, got {P}")
+    if not threshold > 0:
+        raise ValueError(f"threshold must be > 0, got {threshold}")
     terms = carleman_terms(gen, P)
     tail = terms[P // 2 :]
     if tail.min() >= threshold:

@@ -19,7 +19,7 @@ import numpy as np
 from scipy import optimize
 
 from .cascade import write_csv
-from .exponents import ScalingLaw, spectrum_width, zeta
+from .exponents import ScalingLaw, _check_dimension, spectrum_width, zeta
 
 __all__ = ["SpectrumCurve", "f_closed", "f_legendre", "spectrum_curve", "h_interval"]
 
@@ -41,6 +41,7 @@ def _x_of(law: ScalingLaw, h: float) -> float:
 
 def f_closed(law: ScalingLaw, d: float, h: float) -> float:
     """Closed-form spectrum value; the x = 0 endpoint returns the limit d - C."""
+    _check_dimension(d)
     x = _x_of(law, h)
     if x == 0.0:
         return d - law.big_c  # removable singularity: x*ln x -> 0
@@ -56,6 +57,7 @@ def f_legendre(
     the two cells around it; the search is repeated on a doubled grid and
     a shift of the inf by more than 1e-6 is an error.
     """
+    _check_dimension(d)
     _x_of(law, h)  # domain check
     if p_max is None:
         # large enough that beta**(p_max/k) < 1e-8

@@ -106,7 +106,8 @@ def _ls_fit(q, m: np.ndarray, d: np.ndarray, w: np.ndarray) -> tuple:
     den = sw * sxx - sx * sx
     amp = (sw * sxy - sx * sy) / den
     dinf = (sy - amp * sx) / sw
-    sse = ((d - np.expand_dims(dinf, -1) - np.expand_dims(amp, -1) * x) ** 2) @ w
+    with np.errstate(over="ignore"):  # an overflowing SSE ranks above every finite one
+        sse = ((d - np.expand_dims(dinf, -1) - np.expand_dims(amp, -1) * x) ** 2) @ w
     return np.where(den > 0, sse, np.inf), dinf, amp
 
 
@@ -118,7 +119,8 @@ def fit_a1(series: DeltaSeries) -> A1Fit:
     refines q by Brent's method on the bracket around the best node; a
     best node at either end of the grid is kept as the fit.  Stage 2
     recomputes the achieved recurrence residual exactly at the fitted
-    parameters.
+    parameters.  A fit whose weighted SSE is not finite at any grid node
+    raises OverflowError.
     """
     if len(series) < 4:
         raise ValueError(f"need at least 4 series entries, got {len(series)}")
@@ -140,7 +142,11 @@ def fit_a1(series: DeltaSeries) -> A1Fit:
     def sse(u):
         return _ls_fit(np.exp(ln_lo + u * step), m, d, w)[0]
 
-    best = int(np.argmin(sse(np.arange(_Q_NODES))))  # smallest q wins ties via argmin
+    grid = sse(np.arange(_Q_NODES))
+    if not np.isfinite(grid).any():
+        raise OverflowError("the weighted squared residuals of the fit are not finite at any q: "
+                            "the delta series or its weights are too large")
+    best = int(np.argmin(grid))  # smallest q wins ties via argmin
     u_hat = best
     if 0 < best < _Q_NODES - 1:
         try:
@@ -167,6 +173,8 @@ def classify(series: DeltaSeries, tol: float | None = None) -> A1Report:
         raise ValueError(f"need at least 5 series entries, got {len(series)}")
     if tol is None:
         tol = default_tolerance(series)
+    if not tol >= 0:
+        raise ValueError(f"tolerance must be >= 0, got {tol}")
     d = np.asarray(series.delta, dtype=float)
     scale = max(np.abs(d).max(), 1.0)
     digest = _digest(series)

@@ -83,6 +83,14 @@ class TestSimulate:
         assert abs(y[deepest][0] - 8 * zeta(SL, 3.0) * LN_HALF) < 4 * se[deepest][0]
         assert 8 * zeta(SL, 3.0) * LN_HALF == pytest.approx(-5.545177, abs=1e-6)
 
+    @pytest.mark.parametrize("drift", [-1e200, -1e300])
+    def test_overflowing_jackknife_raises(self, drift):
+        # the squared jackknife deviations overflow at -1e200; the mean of ln S_p itself at -1e300
+        cfg = SimConfig(params=CascadeParams(r=0.5, k=3), n_levels=3, n_samples=200, seed=0)
+        gen = LevyGenerator(drift=drift, atoms=((SL_LP.b, SL_LP.lam),))
+        with pytest.raises(OverflowError, match="not finite"):
+            simulate(cfg, gen)
+
     def test_seed_determinism(self):
         cfg = SimConfig(params=CascadeParams(r=0.5, k=3), n_levels=4, n_samples=1000, seed=11)
         t1 = simulate(cfg, SL_LP)

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hscascade.cli import eps_grid, main, real
+from test_readme import readme_commands
 
 
 def run(capsys, *argv):
@@ -101,6 +102,42 @@ class TestUsageErrors:
                          "--bigC", "2", "--r", "0.5")
 
 
+# a zeta-estimate CSV of the canonical law's orders 0, 3, ..., 18
+ZETA_CSV = ("# {}\np,zeta_hat,se\n0,0,0\n3,1,0.01\n6,1.5,0.02\n9,1.8,0.02\n12,2,0.03\n"
+            "15,2.15,0.03\n18,2.25,0.04\n")
+
+
+class TestOutOfRangeParameters:
+    """A parameter out of range or too large exits 1 with JSON on stderr, not a verdict."""
+
+    @pytest.mark.parametrize("argv, error, message", [
+        (["determinacy", "--gen", "log-normal", "--threshold", "-1"], "ValueError",
+         "threshold must be > 0"),
+        (["determinacy", "--gen", "log-normal", "--threshold", "0"], "ValueError",
+         "threshold must be > 0"),
+        (["analyze", "zeta.csv", "--k", "3", "--r", "0.5", "--tol", "-1"], "ValueError",
+         "tolerance must be >= 0"),
+        (["spectrum", "--beta", "2/3", "--bigC", "2", "--d", "-1"], "ValueError",
+         "support dimension"),
+        (["spectrum", "--beta", "2/3", "--bigC", "2", "--d", "0"], "ValueError",
+         "support dimension"),
+        (["classify-family", "--bigC", "1e300"], "OverflowError", "not finite at any q"),
+        (["simulate", "--beta", "2/3", "--bigC", "2", "--gamma", "1e300", "--k", "3", "--r", "0.5",
+          "--levels", "3", "--samples", "200"], "OverflowError", "jackknife error is not finite"),
+        # a Poisson rate of ~7e16 jumps per sample: the jump table cannot be allocated
+        (["simulate", "--beta", "2/3", "--bigC", "1e17", "--r", "0.5", "--levels", "2",
+          "--samples", "100"], "MemoryError", "Unable to allocate"),
+    ])
+    def test_exits_1_with_json_stderr(self, capsys, tmp_path, monkeypatch, argv, error, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "zeta.csv").write_text(ZETA_CSV)
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        doc = json.loads(err)
+        assert doc["error"] == error and message in doc["message"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["zeta.csv"]  # nothing written
+
+
 class TestSimulateAnalyze:
     def test_round_trip(self, tmp_path, capsys):
         structure = tmp_path / "structure.csv"
@@ -147,6 +184,7 @@ class TestSimulateAnalyze:
     @pytest.mark.parametrize("text, message", [
         ("", "no header line"),
         ("# {}\np,zeta_hat,se\n", "no data rows"),
+        (ZETA_CSV.replace("6,1.5,0.02", "6,1.5,nan"), "stderr entries must be finite"),
     ])
     def test_empty_or_header_only_csv_exits_1_with_json_stderr(self, tmp_path, capsys, text,
                                                                 message):
@@ -337,3 +375,102 @@ class TestGeneratorDocumentFuzz:
     @given(doc=mutated_documents())
     def test_mutated_valid_documents(self, doc):
         self.check(doc)
+
+
+# --- every README command, with 1-2 flag values replaced ---------------------------
+
+# the value flags of each command, and sizes small enough for an example to take milliseconds
+VALUE_FLAGS = {
+    "simulate": ["--beta", "--bigC", "--gamma", "--k", "--r", "--levels", "--samples", "--seed"],
+    "analyze": ["--k", "--r", "--tol"],
+    "spectrum": ["--beta", "--bigC", "--gamma", "--k", "--d", "--points"],
+    "stability": ["--beta", "--bigC", "--gamma", "--k", "--r", "--preset", "--eps-grid", "--u2",
+                  "--samples", "--seed"],
+    "classify-family": ["--r", "--k", "--beta", "--bigC", "--gamma", "--m-max"],
+    "determinacy": ["--gen", "--sigma2", "--mu", "--beta", "--bigC", "--gamma", "--k", "--r",
+                    "--P", "--threshold"],
+}
+SMALL = {"--levels": "3", "--samples": "200"}
+
+
+def readme_command(name):
+    """The README's `name` command: its leading words and a dict of its flag values."""
+    (argv,) = [argv for argv in readme_commands() if argv[0] == name]
+    n = next((i for i, a in enumerate(argv) if a.startswith("--")), len(argv))
+    flags = dict(zip(argv[n::2], argv[n + 1::2]))
+    if name == "simulate":
+        flags.update(SMALL)
+    return argv[:n], flags
+
+
+numbers = st.one_of(
+    st.floats().map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.tuples(st.integers(-100, 100), st.integers(-100, 100)).map(lambda f: f"{f[0]}/{f[1]}"),
+    st.sampled_from(["0", "1", "-1", "1e-300", "1e300", "nan", "inf", "2/3", "0.5", "0.9999"]),
+)
+flag_values = numbers | st.text(max_size=6)
+
+
+@st.composite
+def eps_grids(draw):
+    """HI:LO spanning at most 3 decades, or malformed."""
+    hi = draw(st.floats(-1.0, 1e3))
+    return f"{hi!r}:{hi * 10.0 ** -draw(st.integers(-1, 3))!r}"
+
+
+# size flags are drawn from small ranges only, so no example allocates large arrays
+SIZE_VALUES = {
+    "--levels": st.integers(-1, 6),
+    "--samples": st.integers(-1, 2000) | st.integers(9_990, 10_010),
+    "--points": st.integers(-1, 50),
+    "--P": st.integers(-1, 60),
+    "--m-max": st.integers(-1, 12),
+}
+# where a law is sampled, --bigC and --r set its jump rate -C*ln(r), the jumps drawn per
+# sample, so there they are size flags too: rates up to ~50 (and out-of-range values)
+RATE_VALUES = {"--bigC": st.floats(-1.0, 10.0), "--r": st.floats(0.01, 1.5)}
+SAMPLING = ("simulate", "stability")
+
+
+@st.composite
+def mutated_commands(draw):
+    """A README command with 1-2 flag values replaced, each passed as --flag=value."""
+    head, flags = readme_command(draw(st.sampled_from(sorted(VALUE_FLAGS))))
+    for flag in draw(st.lists(st.sampled_from(VALUE_FLAGS[head[0]]), min_size=1, max_size=2,
+                              unique=True)):
+        if flag in SIZE_VALUES:
+            flags[flag] = str(draw(SIZE_VALUES[flag]))
+        elif flag in RATE_VALUES and head[0] in SAMPLING:
+            flags[flag] = repr(draw(RATE_VALUES[flag]))
+        elif flag == "--eps-grid":
+            flags[flag] = draw(eps_grids() | st.text(max_size=6))
+        else:
+            flags[flag] = draw(flag_values)
+    return head + [f"{flag}={value}" for flag, value in flags.items()]
+
+
+class TestCommandFuzz:
+    """Every README command keeps the CLI contract under drawn flag values."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fuzz")
+        (path / "zeta.csv").write_text(ZETA_CSV)
+        return path
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+    @given(argv=mutated_commands())
+    def test_exit_code_and_stderr(self, workdir, monkeypatch, argv):
+        monkeypatch.chdir(workdir)  # every output file names a path relative to the workdir
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 1:
+            assert json.loads(err.getvalue())["error"]

@@ -268,3 +268,9 @@ class TestTypes:
             DeltaSeries(k=1, m=(0, 1), delta=(1.0, math.inf))
         with pytest.raises(ValueError):
             DeltaSeries(k=1, m=(0, 1), delta=(1.0, 0.5), stderr=(0.1,))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.01])
+    def test_delta_series_rejects_bad_stderr(self, bad):
+        DeltaSeries(k=1, m=(0, 1), delta=(1.0, 0.5), stderr=(0.1, 0.0))
+        with pytest.raises(ValueError, match="stderr entries must be finite and >= 0"):
+            DeltaSeries(k=1, m=(0, 1), delta=(1.0, 0.5), stderr=(0.1, bad))

@@ -245,6 +245,12 @@ class TestCarleman:
         assert determinacy_verdict(LOGNORMAL) == "indeterminate-convergent"
         assert determinacy_verdict(LevyGenerator(drift=-0.5)) == "determinate-divergent"
 
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, math.nan])
+    def test_verdict_rejects_non_positive_threshold(self, threshold):
+        # at threshold <= 0 the log-normal law, which is indeterminate, read as determinate
+        with pytest.raises(ValueError, match="threshold must be > 0"):
+            determinacy_verdict(LOGNORMAL, threshold=threshold)
+
 
 class TestSerialization:
     def test_round_trips(self):
@@ -560,9 +566,9 @@ class TestSampleRows:
         assert got.tobytes() == sample_logW(gen, rows * cols, seed).tobytes()
 
     def test_rows_before_the_first_jump(self):
-        # At rate 0.05 most rows of 4 draws have no jump.  One call adds 0.0 to
-        # them, turning the -0.0 drift into 0.0, if and only if some row jumps;
-        # seeds 0-39 hold runs where no row, the first row, or only a later row jumps.
+        # At rate 0.05 most rows of 4 draws have no jump; seeds 0-39 hold runs where
+        # no row, the first row, or only a later row jumps, and in each the rows
+        # concatenate to one call's draws.
         gen = LevyGenerator(drift=-0.0, atoms=((-0.3, 0.05),))
         for seed in range(40):
             rows = list(_sample_rows(gen, 6, 4, seed))
@@ -576,9 +582,9 @@ class TestSampleRows:
         LevyGenerator(drift=-0.0, atoms=((-0.3, 0.01), (0.2, 0.02))),
     ])
     def test_general_path_rows_without_jumps(self, gen):
-        # Whenever any draw jumps, every row adds its bincount, turning the -0.0
-        # drift into 0.0 where one call does; seeds 0-39 hold runs where no row,
-        # the first row, or only a later row jumps.
+        # Seeds 0-39 hold runs where no row, the first row, or only a later row
+        # jumps; in each the rows concatenate to one call's draws and to the
+        # reference sampler's.
         total_rate = np.cumsum([w for _, w in gen.atoms] + ([gen.tail.mass] if gen.tail else []))[-1]
         seen = set()
         for seed in range(40):
@@ -591,6 +597,24 @@ class TestSampleRows:
             per_row = rng.poisson(total_rate, (8, 4)).sum(axis=1)  # the sampler's counts
             seen.add("none" if not per_row.any() else "first" if per_row[0] else "later")
         assert seen == {"none", "first", "later"}
+
+
+class TestNoNegativeZero:
+    """A -0.0 drift is stored as 0.0, so no draw of log W is -0.0."""
+
+    def test_drift_is_stored_without_a_negative_zero(self):
+        assert math.copysign(1.0, LevyGenerator(drift=-0.0).drift) == 1.0
+
+    @pytest.mark.parametrize("gen", [
+        LevyGenerator(drift=-0.0, atoms=((-0.3, 0.001),)),
+        LevyGenerator(drift=-0.0, tail=StableTail(alpha=0.5, c=0.03 * 0.5 / 99.0,
+                                                  x_min=1e-4, x_max=1.0)),
+    ], ids=["low_rate_atom", "low_mass_tail"])
+    def test_no_draw_is_negative_zero(self, gen):
+        for seed in range(40):
+            for out in (sample_logW(gen, 32, seed),
+                        np.concatenate(list(_sample_rows(gen, 8, 4, seed)))):
+                assert not np.signbit(out[out == 0]).any()
 
 
 class TestAhead:

@@ -1,0 +1,50 @@
+"""README.md stays executable: its CLI commands exit 0 and its library example runs."""
+
+import contextlib
+import io
+import pathlib
+import re
+import shlex
+
+from hscascade.cli import main
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_blocks(lang: str) -> list:
+    """The bodies of README.md's fenced code blocks in `lang`."""
+    return re.findall(rf"^```{lang}\n(.*?)^```", README.read_text(), re.DOTALL | re.MULTILINE)
+
+
+def readme_commands() -> list:
+    """The argv (program name dropped) of every `hscascade` command in the sh blocks."""
+    commands = []
+    for block in readme_blocks("sh"):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv and argv[0] == "hscascade":
+                commands.append(argv[1:])
+    return commands
+
+
+def test_readme_lists_every_command():
+    assert [argv[0] for argv in readme_commands()] == [
+        "simulate", "analyze", "spectrum", "stability", "classify-family", "determinacy"]
+
+
+def test_cli_commands_exit_0(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the commands write structure.csv, zeta.csv, spectrum.csv
+    for argv in readme_commands():
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().err == "", argv
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spectrum.csv", "structure.csv",
+                                                          "zeta.csv"]
+
+
+def test_library_example():
+    (block,) = readme_blocks("python")
+    namespace = {}
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        exec(block, namespace)
+    assert namespace["report"].to_dict()["verdict"] == "a1-holds"
+    assert '"verdict": "a1-holds"' in out.getvalue()

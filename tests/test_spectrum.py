@@ -51,6 +51,16 @@ class TestClosedForm:
         with pytest.raises(ValueError, match="C = 0"):
             f_closed(law, 1.0, 0.3)
 
+    @pytest.mark.parametrize("d", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("call", [
+        lambda d: f_closed(SL, d, h_interval(SL)[1]),
+        lambda d: f_legendre(SL, d, h_interval(SL)[1]),
+        lambda d: spectrum_curve(SL, d, 11),
+    ], ids=["f_closed", "f_legendre", "spectrum_curve"])
+    def test_rejects_non_positive_dimension(self, call, d):
+        with pytest.raises(ValueError, match="support dimension d must be > 0"):
+            call(d)
+
 
 class TestLegendreOracle:
     def test_agrees_with_closed_form(self):

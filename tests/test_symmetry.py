@@ -42,6 +42,15 @@ class TestFitA1:
         assert fit.delta_inf_hat == pytest.approx(1.0 / 3.0, abs=1e-8)
         assert fit.epsilon_hat < 1e-10
 
+    def test_overflowing_fit_raises(self):
+        # a log-Poisson series with C = 1e300: every squared residual overflows
+        law = ScalingLaw(gamma=1.0 / 9.0, big_c=1e300, beta=2.0 / 3.0, k=3)
+        series = delta_series_exact(law, 12)
+        with pytest.raises(OverflowError, match="not finite at any q"):
+            fit_a1(series)
+        with pytest.raises(OverflowError, match="not finite at any q"):
+            classify(series)
+
     def test_constant_series_flagged(self):
         series = DeltaSeries(k=1, m=range(6), delta=[0.4] * 6)
         fit = fit_a1(series)
@@ -129,6 +138,12 @@ class TestClassify:
     def test_needs_five_entries(self):
         with pytest.raises(ValueError):
             classify(DeltaSeries(k=1, m=range(4), delta=(1.0, 0.5, 0.25, 0.125)))
+
+    @pytest.mark.parametrize("tol", [-1.0, -1e-12, math.nan])
+    def test_rejects_negative_tolerance(self, tol):
+        classify(SL_SERIES, tol=0.0)  # zero is allowed
+        with pytest.raises(ValueError, match="tolerance must be >= 0"):
+            classify(SL_SERIES, tol=tol)
 
     def test_report_json_schema(self):
         doc = json.loads(classify(SL_SERIES).to_json())
