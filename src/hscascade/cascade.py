@@ -95,6 +95,11 @@ class ZetaEstimate:
     se: np.ndarray
     metadata: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        se = np.asarray(self.se, dtype=float)
+        if not (np.isfinite(se) & (se >= 0)).all():
+            raise ValueError(f"se: stderr entries must be finite and >= 0, got {se.tolist()}")
+
     def value(self, p: float) -> tuple:
         idx = np.nonzero(self.p == p)[0]
         if len(idx) == 0:

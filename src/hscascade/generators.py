@@ -219,13 +219,17 @@ def sample_logW(gen, count: int, seed: int) -> np.ndarray:
     share their jump counts (useful for common-random-number
     comparisons).  Every jump is then sized from one jump table, the
     atom locations followed by a NaN slot for a StableTail, at an index
-    drawn from the categorical law of the cumulative rates; the tail's
-    slots are filled by an inverse-CDF draw whose uniforms follow every
-    jump uniform in the stream.  A table of one atom and no tail draws
-    nothing after the counts: a sample with j jumps gets the j-th prefix
-    sum x + x + ... + x, the same left-to-right sum as the general path,
-    so the output is bit-identical and the counts keep their common
-    random numbers.  This is the one-row case of _sample_rows.
+    drawn from the categorical law of the cumulative rates by an exact
+    bucketed search; the tail's slots are filled by an inverse-CDF draw
+    whose uniforms follow every jump uniform in the stream.  A table of
+    the tail alone draws no index, since every one would be its slot.  A
+    table of one atom and no tail draws nothing after the counts: a
+    sample with j jumps gets the j-th prefix sum x + x + ... + x, the
+    same left-to-right sum as the general path, so the output is
+    bit-identical and the counts keep their common random numbers.  The
+    drift (and any Gaussian part) is added to the jump sum last, which
+    gives the same bytes as adding the jumps to it.  This is the one-row
+    case of _sample_rows.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -250,6 +254,38 @@ def _ahead(rng, n: int):
     return cursor
 
 
+def _bucketed_pick(edges: np.ndarray):
+    """An exact guide-table search: pick(u) == np.searchsorted(edges, u, side="right").
+
+    The indexed search of Chen & Asau (AIIE Trans. 6, 1974) for sorted
+    edges and uniforms u in [0, 1).  M = 2**min(20, 6 + bit_length(slots))
+    buckets of width 1/M, with M a power of two, so u*M and its floor b
+    are exact and the answer lies in [guide[b], guide[b + 1]]
+    (guide[b] = searchsorted(edges, b/M, "right")).  Where those two are
+    equal guide[b] is the answer; a crowded bucket, where an edge falls,
+    holds -1 instead, and only its uniforms (at most one bucket per edge,
+    so at most ~1/64 of them) fall back to searchsorted.  pick(u)
+    overwrites u and returns the indices in the array that held the
+    floors b: 17 B per uniform counting u (u, b and a bool mask).
+    """
+    m = 1 << min(20, 6 + len(edges).bit_length())
+    scaled = edges * m  # exact, so searching u*m in it is searching u in edges
+    guide = np.searchsorted(scaled, np.arange(m + 1), side="right")
+    guide = np.where(guide[1:] == guide[:-1], guide[:-1], -1)
+
+    def pick(u):
+        u *= m
+        b = u.astype(np.intp)  # floor: u*m lies in [0, m)
+        # take reads index i before it writes element i, so b can be its own output;
+        # "clip" never clips here and, unlike "raise", writes out unbuffered
+        np.take(guide, b, out=b, mode="clip")
+        slow = np.flatnonzero(b < 0)
+        b[slow] = np.searchsorted(scaled, u[slow], side="right")
+        return b
+
+    return pick
+
+
 def _sample_rows(gen, rows: int, cols: int, seed: int):
     """Yield `rows` arrays of `cols` draws of log W, one after the other.
 
@@ -261,11 +297,17 @@ def _sample_rows(gen, rows: int, cols: int, seed: int):
     Generator give the values of one large call).  Any other table draws
     the counts of all rows, which fix the total jump count t, then reads
     each row's jump uniforms from the main stream and its tail uniforms
-    from a second cursor placed t draws ahead (see _ahead).  Every row
-    adds its jump sums, 0.0 where a sample has none; LevyGenerator
-    stores its drift without a negative zero, so that leaves the sample
-    unchanged.  Memory is 8 B per draw for a Gaussian part and, on the
-    general path, for the counts, plus O(cols + jumps in one row).
+    from a second cursor placed t draws ahead (see _ahead).  A jump
+    uniform picks its slot by the exact bucketed search of
+    _bucketed_pick.  A table of the tail alone draws no jump uniforms:
+    every pick would be its one slot, and nothing reads the main stream
+    after the counts, so its sizes are the tail uniforms alone.  Every
+    row sums its jumps, 0.0 where a sample has none, then adds the drift
+    (and the Gaussian part) last; IEEE addition is commutative, and
+    LevyGenerator stores its drift without a negative zero, so each
+    sample's bytes are those of drift + gauss + jumps.  Memory is 8 B
+    per draw for a Gaussian part and, on the general path, for the
+    counts, plus O(cols + jumps in one row).
     """
     g = as_levy(gen)
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
@@ -286,34 +328,47 @@ def _sample_rows(gen, rows: int, cols: int, seed: int):
     else:
         n_jumps = rng.poisson(rate, size=(rows, cols))
         t = int(n_jumps.sum())
-        # dividing by the table's own last entry makes the last edge exactly 1.0
-        edges = cum / rate
         if tail is not None:
             tail_rng = _ahead(rng, t)  # the tail's uniforms follow all t jump uniforms
             lo, hi, a = tail.x_min ** -tail.alpha, tail.x_max ** -tail.alpha, tail.alpha
+
+            def tail_sizes(n):
+                # inverse-CDF draw from c*y**(-1-alpha) on [x_min, x_max], y = |x|:
+                # -((lo - v*(lo - hi)) ** (-1/a)), one step at a time in v
+                v = tail_rng.random(n)
+                v *= lo - hi
+                np.subtract(lo, v, out=v)
+                v **= -1.0 / a
+                return np.negative(v, out=v)
+        tail_only = tail is not None and not g.atoms
+        if not tail_only:
+            # dividing by the table's own last entry makes the last edge exactly 1.0
+            pick = _bucketed_pick(cum / rate)
         owner = np.arange(cols)
 
         def jumps(i):  # the summed jumps of row i; its arrays are freed before it is yielded
             nj = n_jumps[i]
-            sizes = np.take(table, np.searchsorted(edges, rng.random(int(nj.sum())), side="right"))
-            if tail is not None:
-                sel = np.isnan(sizes)
-                # inverse-CDF draw from c*y**(-1-alpha) on [x_min, x_max], y = |x|:
-                # -((lo - v*(lo - hi)) ** (-1/a)), one step at a time in v
-                v = tail_rng.random(int(sel.sum()))
-                v *= lo - hi
-                np.subtract(lo, v, out=v)
-                v **= -1.0 / a
-                sizes[sel] = np.negative(v, out=v)
-                del sel, v  # before repeat() allocates
-            # each sample's jumps are contiguous and in order, so it sums them as one call would
-            return np.bincount(np.repeat(owner, nj), weights=sizes, minlength=cols)
+            if tail_only:
+                sizes = tail_sizes(int(nj.sum()))
+            else:
+                sizes = np.take(table, pick(rng.random(int(nj.sum()))))
+                if tail is not None:
+                    sel = np.isnan(sizes)
+                    sizes[sel] = tail_sizes(int(sel.sum()))
+                    del sel  # before repeat() allocates
+            # each sample's jumps are contiguous and in order, so it sums them as one call would;
+            # with no jump in the row bincount returns int64 zeros
+            return np.bincount(np.repeat(owner, nj), weights=sizes,
+                               minlength=cols).astype(float, copy=False)
 
     for i in range(rows):
-        out = np.full(cols, g.drift, dtype=float)
-        if gauss is not None:
-            out += gauss[i * cols:(i + 1) * cols]
-        out += jumps(i)
+        out = jumps(i)
+        if gauss is None:
+            out += g.drift
+        else:
+            gs = gauss[i * cols:(i + 1) * cols]
+            gs += g.drift
+            out += gs
         yield out
 
 

@@ -91,7 +91,10 @@ def _weights(series: DeltaSeries) -> np.ndarray:
         return np.ones(len(series))
     se = np.asarray(series.stderr, dtype=float)
     floor = max(se[se > 0].min() if (se > 0).any() else 1.0, 1e-300)
-    return 1.0 / np.maximum(se, floor) ** 2
+    # dividing by the power of two at or below the floor is exact and keeps 1/se**2 in
+    # range at any scale; it scales every weight by one power of two, which no fit sees
+    unit = math.ldexp(1.0, math.frexp(floor)[1] - 1)
+    return 1.0 / (np.maximum(se, floor) / unit) ** 2
 
 
 def _ls_fit(q, m: np.ndarray, d: np.ndarray, w: np.ndarray) -> tuple:

@@ -32,6 +32,7 @@ from hscascade.generators import (
     normalize_mean_one,
     sample_logW,
 )
+from hscascade.hausdorff import smear_perturbation
 from hscascade.spectrum import SpectrumCurve
 
 SL = ScalingLaw(gamma=1.0 / 9.0, big_c=2.0, beta=2.0 / 3.0, k=3)
@@ -215,8 +216,9 @@ class TestPipeline:
 
 
 class TestMemory:
-    """The traced peak stays within 4 x (8 B x total draws); simulate's, at 16 levels, within
-    10 x one level for the one-atom law and 80 x for a stable tail."""
+    """The traced peak stays within 4 x (8 B x total draws) for the one-atom law and 6 x for
+    33 atoms; simulate's, at 16 levels, within 10 x one level for the one-atom law and 80 x
+    for a stable tail."""
 
     def traced_peak(self, run):
         tracemalloc.start()
@@ -229,6 +231,13 @@ class TestMemory:
     def test_sample_logW(self):
         peak = self.traced_peak(lambda: sample_logW(SL_LP, 1_000_000, 0))
         assert peak <= 4 * 8 * 1_000_000
+
+    def test_sample_logW_many_atoms(self):
+        # ~1.4 jumps per draw: the counts, the jump sizes and their owners, and the jump
+        # sums, with no drift-filled array beside them
+        gen = smear_perturbation(SL_LP, 3, 0.2)
+        peak = self.traced_peak(lambda: sample_logW(gen, 1_000_000, 0))
+        assert peak <= 6 * 8 * 1_000_000
 
     def test_simulate(self):
         cfg = SimConfig(params=CascadeParams(r=0.5, k=3), n_levels=8, n_samples=125_000, seed=0)
@@ -381,6 +390,16 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match=message):
             ZetaEstimate.from_csv(io.StringIO(text))
 
+    @pytest.mark.parametrize("bad", [-0.02, math.nan, math.inf])
+    def test_rejects_negative_or_non_finite_se(self, bad):
+        # estimate_deltas combines errors with math.hypot, which would drop the sign
+        text = f"# {{}}\np,zeta_hat,se\n0,0,0\n3,1.0,0.01\n6,1.77,{bad}\n9,2.4,0.05\n"
+        with pytest.raises(ValueError, match="stderr entries must be finite and >= 0"):
+            ZetaEstimate.from_csv(io.StringIO(text))
+        with pytest.raises(ValueError, match="stderr entries must be finite and >= 0"):
+            ZetaEstimate(p=np.array([0.0, 3.0]), zeta_hat=np.array([0.0, 1.0]),
+                         se=np.array([0.0, bad]))
+
 
 # finite floats, -0.0 and subnormals included, and JSON-able metadata
 FLOATS = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
@@ -425,7 +444,10 @@ class TestCsvRoundTripProperties:
     @given(n_rows=st.integers(1, 20), data=st.data(), meta=METADATA)
     def test_zeta_estimate(self, n_rows, data, meta):
         column = hnp.arrays(float, n_rows, elements=FLOATS)
-        z = ZetaEstimate(p=data.draw(column), zeta_hat=data.draw(column), se=data.draw(column),
+        # ZetaEstimate rejects a negative se; -0.0 and subnormals are still drawn
+        errors = hnp.arrays(float, n_rows, elements=st.floats(min_value=-0.0, allow_infinity=False,
+                                                              allow_subnormal=True))
+        z = ZetaEstimate(p=data.draw(column), zeta_hat=data.draw(column), se=data.draw(errors),
                          metadata=meta)
         back = ZetaEstimate.from_csv(round_trip(z.to_csv))
         for name in ("p", "zeta_hat", "se"):

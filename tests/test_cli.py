@@ -185,6 +185,7 @@ class TestSimulateAnalyze:
         ("", "no header line"),
         ("# {}\np,zeta_hat,se\n", "no data rows"),
         (ZETA_CSV.replace("6,1.5,0.02", "6,1.5,nan"), "stderr entries must be finite"),
+        (ZETA_CSV.replace("6,1.5,0.02", "6,1.5,-0.02"), "stderr entries must be finite and >= 0"),
     ])
     def test_empty_or_header_only_csv_exits_1_with_json_stderr(self, tmp_path, capsys, text,
                                                                 message):

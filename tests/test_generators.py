@@ -14,6 +14,7 @@ from hscascade.exponents import ScalingLaw, zeta
 from hscascade.generators import (
     LevyGenerator,
     _ahead,
+    _bucketed_pick,
     _sample_rows,
     LogPoissonParams,
     StableTail,
@@ -534,6 +535,15 @@ class TestRandomStream:
         got = sample_logW(gen, 100_000, seed=11)
         assert got.tobytes() == reference_sample_logW(gen, 100_000, 11).tobytes()
 
+    @pytest.mark.parametrize("sigma2", [0.0, 0.3])
+    def test_pinned_tail_only(self, sigma2):
+        # the log-stable law of classify-family draws no jump uniforms, only tail uniforms;
+        # sampled_generators gives a tail-only table in ~1 of 600 examples
+        gen = LevyGenerator(drift=SL_LP.a, sigma2=sigma2,
+                            tail=StableTail(alpha=0.5, c=0.05, x_min=1e-4, x_max=1.0))
+        got = sample_logW(gen, 100_000, seed=5)
+        assert got.tobytes() == reference_sample_logW(gen, 100_000, 5).tobytes()
+
     @settings(max_examples=100, deadline=None)
     @given(gen=one_atom_generators(), count=st.integers(1, 5000),
            seed=st.integers(0, 2**32 - 1))
@@ -632,3 +642,55 @@ class TestAhead:
         assert cursor.random(11).tobytes() == expected
         rng.random(n)  # and rng itself has not moved
         assert rng.random(11).tobytes() == expected
+
+
+def guide_buckets(edges) -> int:
+    """The bucket count of _bucketed_pick for these edges."""
+    return 1 << min(20, 6 + len(edges).bit_length())
+
+
+def awkward_uniforms(edges, rng, n_random=2000):
+    """u in [0, 1) at bucket and edge boundaries and one ulp either side, plus random u."""
+    m = guide_buckets(edges)
+    grid = rng.integers(0, m, size=200) / m
+    points = np.concatenate([grid, edges[edges < 1.0], [0.0, 1.0 - 2.0**-53]])
+    u = np.concatenate([points, np.nextafter(points, 1.0), np.nextafter(points, -1.0),
+                        rng.random(n_random)])
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+class TestBucketedPick:
+    """_bucketed_pick(edges)(u) is np.searchsorted(edges, u, side="right") index for index."""
+
+    @staticmethod
+    def check(edges, u):
+        got = _bucketed_pick(edges)(u.copy())
+        assert got.tolist() == np.searchsorted(edges, u, side="right").tolist()
+
+    @settings(max_examples=80, deadline=None)
+    @given(slots=st.integers(1, 5000), alpha=st.floats(1e-3, 10.0), repeats=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_searchsorted(self, slots, alpha, repeats, seed):
+        # a tiny Dirichlet alpha puts most of the mass on a few slots, clustering the edges
+        # and repeating them where rates vanish; `repeats` repeats every edge outright
+        rng = np.random.default_rng(seed)
+        cum = np.cumsum(np.repeat(rng.dirichlet(np.full(slots, alpha)), repeats))
+        edges = cum / cum[-1]  # as _sample_rows forms them: the last edge is exactly 1.0
+        self.check(edges, awkward_uniforms(edges, rng))
+
+    def test_bucket_count_capped(self):
+        # more than 2**14 slots would ask for more than 2**20 buckets
+        rng = np.random.default_rng(3)
+        cum = np.cumsum(rng.dirichlet(np.full(20_000, 0.05)))
+        edges = cum / cum[-1]
+        assert guide_buckets(edges) == 2**20
+        self.check(edges, awkward_uniforms(edges, rng, n_random=200_000))
+
+    @pytest.mark.parametrize("edges", [[1.0], [0.5, 0.5, 1.0], [0.0, 0.25, 1.0, 1.0],
+                                       [2.0**-53, 0.5 - 2.0**-54, 0.5, 1.0]])
+    def test_small_tables(self, edges):
+        edges = np.array(edges)
+        self.check(edges, awkward_uniforms(edges, np.random.default_rng(0)))
+
+    def test_empty_draw(self):
+        assert _bucketed_pick(np.array([0.5, 1.0]))(np.empty(0)).size == 0

@@ -99,6 +99,26 @@ class TestFitA1:
         fit = fit_a1(series)
         assert fit.beta_hat == pytest.approx(2.0 / 3.0, abs=1e-3)
 
+    @pytest.mark.parametrize("se", [
+        [0.01, 0.02, 0.02, 0.03, 0.03, 0.04, 0.05],
+        [0.0, 1e-6, 0.3, 0.02, 0.02, 7.0, 0.05],  # a zero error sits at the floor
+    ])
+    def test_weights_ignore_the_scale_of_the_errors(self, se):
+        # the weights are 1/se**2 up to one exact power of two, so a fit on errors scaled
+        # by 2**-600, where se**2 underflows, is the same bytes
+        d = [1.0, 0.78, 0.63, 0.53, 0.46, 0.43, 0.4]
+        fit = fit_a1(DeltaSeries(k=3, m=range(7), delta=d, stderr=se))
+        tiny = fit_a1(DeltaSeries(k=3, m=range(7), delta=d, stderr=[v * 2.0**-600 for v in se]))
+        assert np.array(tiny).tobytes() == np.array(fit).tobytes()
+
+    def test_tiny_errors_fit(self):
+        # every se = 1e-200: 1/se**2 is beyond the float range, the scaled weights are not
+        series = DeltaSeries(k=3, m=SL_SERIES.m, delta=SL_SERIES.delta,
+                             stderr=[1e-200] * len(SL_SERIES))
+        report = classify(series)
+        assert report.verdict == "a1-holds"
+        assert report.beta_hat == pytest.approx(2.0 / 3.0, abs=1e-8)
+
 
 class TestClassify:
     def test_log_poisson(self):
