@@ -61,6 +61,12 @@ class SimConfig:
         object.__setattr__(self, "p_list", tuple(sorted(set(p_list))))
 
 
+def _check_stderr(se) -> None:
+    se = np.asarray(se, dtype=float)
+    if not (np.isfinite(se) & (se >= 0)).all():
+        raise ValueError(f"se: stderr entries must be finite and >= 0, got {se.tolist()}")
+
+
 @dataclass(frozen=True)
 class StructureTable:
     """Rows of (p, n, ln_S, se) plus run metadata."""
@@ -70,6 +76,9 @@ class StructureTable:
     ln_s: np.ndarray
     se: np.ndarray
     metadata: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        _check_stderr(self.se)
 
     def rows_for(self, p: float):
         sel = self.p == p
@@ -96,9 +105,7 @@ class ZetaEstimate:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        se = np.asarray(self.se, dtype=float)
-        if not (np.isfinite(se) & (se >= 0)).all():
-            raise ValueError(f"se: stderr entries must be finite and >= 0, got {se.tolist()}")
+        _check_stderr(self.se)
 
     def value(self, p: float) -> tuple:
         idx = np.nonzero(self.p == p)[0]
@@ -212,7 +219,8 @@ def simulate(config: SimConfig, gen) -> StructureTable:
     as a serial run.  At most two levels wait for the worker, and every
     generator streams its levels (see generators._sample_rows), so
     memory is O(n_samples) plus the jumps of one level; any generator but
-    one atom without a tail adds its Poisson counts, 8 B per draw.
+    one atom without a tail adds its Poisson counts, 1 B per draw while
+    every count is below 256.
     A cell whose ln S_p or jackknife error overflows raises OverflowError.
     """
     nl, ns = config.n_levels, config.n_samples

@@ -198,8 +198,8 @@ def ln_moment(gen, p):
     return total.reshape(np.shape(p)) if np.ndim(p) else float(total[0])
 
 
-def delta_series_analytic(gen, r: float, k: int, m_max: int) -> DeltaSeries:
-    """Incremental exponents delta_{m*k} = (psi(mk+k) - psi(mk)) / ln r, m = 0..m_max."""
+def _analytic_deltas(gen, r: float, k: int, m_max: int) -> np.ndarray:
+    """The deltas of delta_series_analytic as an array; a non-finite one raises as in DeltaSeries."""
     if not (0.0 < r < 1.0):
         raise ValueError(f"scale ratio r must lie in (0,1), got {r}")
     if k < 1:
@@ -207,6 +207,14 @@ def delta_series_analytic(gen, r: float, k: int, m_max: int) -> DeltaSeries:
     if m_max < 2:
         raise ValueError(f"m_max must be >= 2, got {m_max}")
     deltas = np.diff(ln_moment(gen, k * np.arange(m_max + 2))) / math.log(r)
+    if not np.isfinite(deltas).all():
+        raise ValueError("delta entries must be finite")
+    return deltas
+
+
+def delta_series_analytic(gen, r: float, k: int, m_max: int) -> DeltaSeries:
+    """Incremental exponents delta_{m*k} = (psi(mk+k) - psi(mk)) / ln r, m = 0..m_max."""
+    deltas = _analytic_deltas(gen, r, k, m_max)
     return DeltaSeries(k=k, m=tuple(range(m_max + 1)), delta=tuple(deltas))
 
 
@@ -286,6 +294,22 @@ def _bucketed_pick(edges: np.ndarray):
     return pick
 
 
+def _poisson_counts(rng, rate: float, rows: int, cols: int) -> np.ndarray:
+    """rng.poisson(rate, size=(rows, cols)) in the smallest unsigned dtype that holds it.
+
+    Drawn row by row (consecutive calls give the values of one call)
+    into uint8, widened with astype when a row's largest count needs it.
+    """
+    counts = np.empty((rows, cols), np.uint8)
+    for i in range(rows):
+        row = rng.poisson(rate, size=cols)
+        top = row.max(initial=0)
+        if top > np.iinfo(counts.dtype).max:
+            counts = counts.astype(np.min_scalar_type(top))
+        counts[i] = row
+    return counts
+
+
 def _sample_rows(gen, rows: int, cols: int, seed: int):
     """Yield `rows` arrays of `cols` draws of log W, one after the other.
 
@@ -306,8 +330,9 @@ def _sample_rows(gen, rows: int, cols: int, seed: int):
     (and the Gaussian part) last; IEEE addition is commutative, and
     LevyGenerator stores its drift without a negative zero, so each
     sample's bytes are those of drift + gauss + jumps.  Memory is 8 B
-    per draw for a Gaussian part and, on the general path, for the
-    counts, plus O(cols + jumps in one row).
+    per draw for a Gaussian part and, on the general path, 1 B per draw
+    for the counts (2 or 4 B once a row's largest count needs it), plus
+    O(cols + jumps in one row).
     """
     g = as_levy(gen)
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
@@ -326,7 +351,7 @@ def _sample_rows(gen, rows: int, cols: int, seed: int):
             nj = rng.poisson(rate, size=cols)
             return np.concatenate(([0.0], np.cumsum(np.full(nj.max(), table[0]))))[nj]
     else:
-        n_jumps = rng.poisson(rate, size=(rows, cols))
+        n_jumps = _poisson_counts(rng, rate, rows, cols)
         t = int(n_jumps.sum())
         if tail is not None:
             tail_rng = _ahead(rng, t)  # the tail's uniforms follow all t jump uniforms

@@ -20,8 +20,8 @@ from .exponents import recurrence_residual
 from .generators import (
     LevyGenerator,
     LogPoissonParams,
+    _analytic_deltas,
     as_levy,
-    delta_series_analytic,
     sample_logW,
 )
 
@@ -203,11 +203,16 @@ def stability_constant(beta: float, r: float, A: float) -> float:
 
 def a1_residual_vs_reference(gen, ref: LogPoissonParams, r: float, k: int, m_max: int) -> float:
     """sup-norm recurrence residual of gen's analytic deltas against the
-    reference (beta, delta_inf) = (e**(b*k), a*k/ln r)."""
+    reference (beta, delta_inf) = (e**(b*k), a*k/ln r).
+
+    The residual of delta_series_analytic(gen, r, k, m_max + 1), computed
+    from its delta array: split_width_for_epsilon calls this at every
+    iterate, and no DeltaSeries is built for it.
+    """
     beta = math.exp(ref.b * k)
     delta_inf = ref.a * k / math.log(r)
-    series = delta_series_analytic(gen, r, k, m_max + 1)
-    return recurrence_residual(series.m, series.delta, beta, delta_inf)
+    deltas = _analytic_deltas(gen, r, k, m_max + 1)
+    return recurrence_residual(np.arange(m_max + 2), deltas, beta, delta_inf)
 
 
 def verify_stability(

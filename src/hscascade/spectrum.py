@@ -12,6 +12,7 @@ refinement.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -48,6 +49,20 @@ def f_closed(law: ScalingLaw, d: float, h: float) -> float:
     return d - law.big_c + law.big_c * x * (1.0 - math.log(x))
 
 
+@functools.lru_cache(maxsize=4)
+def _order_grid(law: ScalingLaw, p_max: float, n: int) -> tuple:
+    """Orders 0 and n log-spaced in [1e-6, p_max], and zeta at each, as read-only arrays.
+
+    f_legendre asks for the same two grids at every h, and they depend
+    on the law alone.  Four entries hold both grids of the last two laws
+    (~1 MB at the default grid).
+    """
+    ps = np.concatenate([[0.0], np.exp(np.linspace(math.log(1e-6), math.log(p_max), n))])
+    zs = zeta(law, ps)
+    ps.flags.writeable = zs.flags.writeable = False
+    return ps, zs
+
+
 def f_legendre(
     law: ScalingLaw, d: float, h: float, p_max: float | None = None, grid: int = 10_000
 ) -> float:
@@ -55,7 +70,9 @@ def f_legendre(
 
     The best of `grid` log-spaced orders is refined by bounded Brent on
     the two cells around it; the search is repeated on a doubled grid and
-    a shift of the inf by more than 1e-6 is an error.
+    a shift of the inf by more than 1e-6 is an error.  The grids and
+    zeta on them depend only on (law, p_max, grid) and are memoized, so
+    a sweep over h evaluates zeta on them once per law.
     """
     _check_dimension(d)
     _x_of(law, h)  # domain check
@@ -69,8 +86,8 @@ def f_legendre(
         return p * h - zeta(law, p) + d
 
     def grid_min(n):
-        ps = np.concatenate([[0.0], np.exp(np.linspace(math.log(1e-6), math.log(p_max), n))])
-        i = int(np.argmin(objective(ps)))
+        ps, zs = _order_grid(law, float(p_max), n)
+        i = int(np.argmin(ps * h - zs + d))  # objective(ps), in the same order of operations
         # bounded Brent on the cell pair around the best node; the ends
         # cover an inf on the p >= 0 or p = p_max boundary
         lo, hi = ps[max(i - 1, 0)], ps[min(i + 1, len(ps) - 1)]

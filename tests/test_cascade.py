@@ -217,8 +217,8 @@ class TestPipeline:
 
 class TestMemory:
     """The traced peak stays within 4 x (8 B x total draws) for the one-atom law and 6 x for
-    33 atoms; simulate's, at 16 levels, within 10 x one level for the one-atom law and 80 x
-    for a stable tail."""
+    33 atoms; simulate's, at 16 levels, within 10 x one level for the one-atom law, 80 x
+    for a stable tail, and 30 x and 14 x for a stable tail and 200 atoms with 1-B counts."""
 
     def traced_peak(self, run):
         tracemalloc.start()
@@ -258,6 +258,22 @@ class TestMemory:
         peak = self.traced_peak(lambda: simulate(cfg, gen))
         assert peak <= 80 * 8 * 125_000
 
+    @pytest.mark.parametrize("law, bound", [("stable_tail", 30), ("atoms200", 14)])
+    def test_simulate_counts_in_one_byte(self, law, bound):
+        # the general path keeps the Poisson counts of all 16 levels, uint8 while they fit:
+        # 16 x 1 B per sample, where int64 counts took 16 x 8 B (41 x and 25 x in all)
+        rng = np.random.default_rng(2024)
+        gen = {
+            "stable_tail": LevyGenerator(drift=SL_LP.a, tail=StableTail(alpha=0.5, c=0.05,
+                                                                         x_min=1e-4, x_max=1.0)),
+            "atoms200": LevyGenerator(drift=SL_LP.a, atoms=tuple(zip(
+                rng.uniform(-0.4, -0.02, 200).tolist(),
+                (rng.dirichlet(np.ones(200)) * SL_LP.lam).tolist()))),
+        }[law]
+        cfg = SimConfig(params=CascadeParams(r=0.5, k=3), n_levels=16, n_samples=125_000, seed=0)
+        peak = self.traced_peak(lambda: simulate(cfg, gen))
+        assert peak <= bound * 8 * 125_000
+
 
 class TestEstimateZeta:
     def test_exact_slopes(self):
@@ -290,6 +306,18 @@ class TestEstimateZeta:
         cfg = SimConfig(params=CascadeParams(r=0.5, k=3), n_levels=8, n_samples=100_000, seed=5)
         z = estimate_zeta(simulate(cfg, SL_LP))
         assert abs(z.value(3.0)[0] - 1.0) < 0.03
+
+    @pytest.mark.parametrize("bad", [-0.01, math.nan, math.inf])
+    def test_table_rejects_negative_or_non_finite_se(self, bad):
+        # estimate_zeta squares the errors, which would drop the sign of a negative one
+        table = exact_table(SL, 0.5, 3, (0.0, 3.0), se=0.01)
+        se = np.where((table.p == 3.0) & (table.n == 1), bad, table.se)
+        with pytest.raises(ValueError, match="stderr entries must be finite and >= 0"):
+            StructureTable(p=table.p, n=table.n, ln_s=table.ln_s, se=se, metadata=table.metadata)
+        text = (f'# {{"r": 0.5}}\np,n,ln_S,se\n0,1,0,0\n3,1,-0.69,{bad}\n'
+                f'3,2,-1.39,0.01\n3,3,-2.08,0.01\n')
+        with pytest.raises(ValueError, match="stderr entries must be finite and >= 0"):
+            StructureTable.from_csv(io.StringIO(text))
 
 
 class TestEstimateDeltas:
@@ -430,9 +458,12 @@ class TestCsvRoundTripProperties:
     @given(n_rows=st.integers(1, 20), data=st.data(), meta=METADATA)
     def test_structure_table(self, n_rows, data, meta):
         column = hnp.arrays(float, n_rows, elements=FLOATS)
+        # StructureTable rejects a negative se; -0.0 and subnormals are still drawn
+        errors = hnp.arrays(float, n_rows, elements=st.floats(min_value=-0.0, allow_infinity=False,
+                                                              allow_subnormal=True))
         table = StructureTable(
             p=data.draw(column), n=data.draw(hnp.arrays(np.int64, n_rows, elements=st.integers(0, 2**31))),
-            ln_s=data.draw(column), se=data.draw(column), metadata=meta,
+            ln_s=data.draw(column), se=data.draw(errors), metadata=meta,
         )
         back = StructureTable.from_csv(round_trip(table.to_csv))
         for name in ("p", "n", "ln_s", "se"):

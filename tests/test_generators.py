@@ -516,6 +516,10 @@ def one_atom_generators(draw):
     )
 
 
+# the stable tail of `hscascade classify-family`, ~10 jumps per draw
+CLASSIFY_TAIL = StableTail(alpha=0.5, c=0.05, x_min=1e-4, x_max=1.0)
+
+
 class TestRandomStream:
     """sample_logW reproduces the reference sampler bit for bit."""
 
@@ -543,6 +547,19 @@ class TestRandomStream:
                             tail=StableTail(alpha=0.5, c=0.05, x_min=1e-4, x_max=1.0))
         got = sample_logW(gen, 100_000, seed=5)
         assert got.tobytes() == reference_sample_logW(gen, 100_000, 5).tobytes()
+
+    @pytest.mark.parametrize("tail", [None, CLASSIFY_TAIL], ids=["one-atom path", "general path"])
+    def test_pinned_rate_400_atom(self, tail):
+        # counts of ~400 do not fit the general path's first uint8 count table, which is widened
+        gen = LevyGenerator(drift=0.1, atoms=((-0.01, 400.0),), tail=tail)
+        got = sample_logW(gen, 20_000, seed=9)
+        assert got.tobytes() == reference_sample_logW(gen, 20_000, 9).tobytes()
+
+    def test_counts_widened_after_the_first_row(self):
+        # total rate ~230: at seed 9 row 0's 16 counts fit in uint8 and row 1's do not
+        gen = LevyGenerator(drift=0.1, atoms=((-0.01, 220.0),), tail=CLASSIFY_TAIL)
+        rows = b"".join(row.tobytes() for row in _sample_rows(gen, 50, 16, 9))
+        assert rows == reference_sample_logW(gen, 800, 9).tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(gen=one_atom_generators(), count=st.integers(1, 5000),

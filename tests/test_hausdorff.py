@@ -2,13 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hscascade.exponents import ScalingLaw
-from hscascade.generators import LevyGenerator, StableTail, logpoisson_from_scaling
+from hscascade.exponents import ScalingLaw, recurrence_residual
+from hscascade.generators import (
+    LevyGenerator,
+    StableTail,
+    delta_series_analytic,
+    logpoisson_from_scaling,
+)
 from hscascade.hausdorff import (
     UnitMeasure,
     a1_residual_vs_reference,
     empirical_w1_multipliers,
+    leak_perturbation,
     moment_residual,
     moment_sequence,
     point_mass,
@@ -265,3 +273,53 @@ class TestSplitWidthInversion:
             split_width_for_epsilon(SL_LP, 0.5, 3, 1e-30)
         with pytest.raises(ValueError, match="unreachable"):
             split_width_for_epsilon(SL_LP, 0.5, 3, math.nan)
+
+
+@st.composite
+def perturbed_references(draw):
+    """(gen, ref, r, k): a split, leak, smear or tail perturbation of a drawn log-Poisson law."""
+    k = draw(st.integers(1, 4))
+    law = ScalingLaw(gamma=draw(st.floats(-0.5, 0.5)), big_c=draw(st.floats(0.2, 4.0)),
+                     beta=draw(st.floats(0.05, 0.95)), k=k)
+    r = draw(st.floats(0.1, 0.9))
+    ref = logpoisson_from_scaling(law, r)
+    room = min(law.beta, 1.0 - law.beta)
+    kind = draw(st.sampled_from(["split", "leak", "smear", "tail"]))
+    if kind == "split":
+        gen = split_perturbation(ref, k, room * draw(st.floats(1e-9, 0.999)))
+    elif kind == "leak":
+        u2 = draw(st.floats(0.01, 0.99).filter(lambda u: u != law.beta))
+        gen = leak_perturbation(ref, k, u2, draw(st.floats(0.01, 0.99)))
+    elif kind == "smear":
+        gen = smear_perturbation(ref, k, 2.0 * room * draw(st.floats(0.01, 0.99)),
+                                 draw(st.integers(2, 40)))
+    else:
+        x_min = draw(st.floats(1e-4, 0.5))
+        tail = StableTail(alpha=draw(st.floats(0.1, 1.9)), c=draw(st.floats(1e-3, 0.1)),
+                          x_min=x_min, x_max=x_min * draw(st.floats(1.1, 100.0)))
+        gen = LevyGenerator(drift=ref.a, atoms=((ref.b, draw(st.floats(0.1, 1.0)) * ref.lam),),
+                            tail=tail)
+    return gen, ref, r, k
+
+
+class TestResidualWithoutSeries:
+    """a1_residual_vs_reference is the residual of delta_series_analytic's series, byte for byte."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=perturbed_references(), m_max=st.integers(2, 60))
+    def test_matches_delta_series(self, case, m_max):
+        gen, ref, r, k = case
+        series = delta_series_analytic(gen, r, k, m_max + 1)
+        want = recurrence_residual(series.m, series.delta, math.exp(ref.b * k),
+                                   ref.a * k / math.log(r))
+        got = a1_residual_vs_reference(gen, ref, r, k, m_max)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in subtract:RuntimeWarning")
+    def test_non_finite_deltas_raise_as_the_series_does(self):
+        # psi(9) = -5.5e307 and psi(12) = 1.3e308 are finite, their difference is not
+        gen = LevyGenerator(drift=5e306, atoms=((-50.0, 1e308), (50.0, 1.7e308 / math.expm1(600.0))))
+        with pytest.raises(ValueError, match="delta entries must be finite"):
+            delta_series_analytic(gen, 0.5, 3, 3)
+        with pytest.raises(ValueError, match="delta entries must be finite"):
+            a1_residual_vs_reference(gen, SL_LP, 0.5, 3, 2)

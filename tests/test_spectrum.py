@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import optimize
 
-from hscascade.exponents import ScalingLaw, spectrum_width
-from hscascade.spectrum import f_closed, f_legendre, h_interval, spectrum_curve
+from hscascade.exponents import ScalingLaw, spectrum_width, zeta
+from hscascade.spectrum import _order_grid, f_closed, f_legendre, h_interval, spectrum_curve
 
 SL = ScalingLaw(gamma=1.0 / 9.0, big_c=2.0, beta=2.0 / 3.0, k=3)
 
@@ -82,6 +85,75 @@ class TestLegendreOracle:
     def test_rejects_coarse_grid(self):
         with pytest.raises(ValueError, match="p_max"):
             f_legendre(SL, 1.0, 0.3, p_max=1.0)
+
+
+def reference_f_legendre(law, d, h, p_max=None, grid=10_000):
+    """f_legendre before its order grids were memoized: zeta is evaluated on both grids per call."""
+    if p_max is None:
+        p_max = 1.05 * law.k * math.log(1e-8) / math.log(law.beta)
+
+    def objective(p):
+        return p * h - zeta(law, p) + d
+
+    def grid_min(n):
+        ps = np.concatenate([[0.0], np.exp(np.linspace(math.log(1e-6), math.log(p_max), n))])
+        i = int(np.argmin(objective(ps)))
+        lo, hi = ps[max(i - 1, 0)], ps[min(i + 1, len(ps) - 1)]
+        res = optimize.minimize_scalar(objective, bounds=(lo, hi), method="bounded")
+        return min(res.fun, objective(lo), objective(hi))
+
+    coarse = grid_min(grid)
+    fine = grid_min(2 * grid)
+    if abs(coarse - fine) > 1e-6:
+        raise ValueError("Legendre grid too coarse: doubling the grid moved the inf by > 1e-6")
+    return fine
+
+
+def outcome(call):
+    """The bytes of a float result, or the message of a ValueError."""
+    try:
+        return np.float64(call()).tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+laws = st.builds(
+    ScalingLaw,
+    gamma=st.floats(-0.5, 0.5),
+    big_c=st.floats(0.2, 4.0),
+    beta=st.floats(0.05, 0.95, exclude_min=True, exclude_max=True),
+    k=st.integers(1, 4),
+)
+
+
+class TestMemoizedGrid:
+    """f_legendre with memoized grids is reference_f_legendre byte for byte."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(law_list=st.lists(laws, min_size=1, max_size=4),
+           calls=st.lists(st.tuples(st.integers(0, 3),
+                                    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                                    st.floats(0.05, 10.0)), min_size=1, max_size=8))
+    def test_matches_reference(self, law_list, calls):
+        # the calls alternate between up to four laws, so the four-entry cache evicts
+        for j, frac, d in calls:
+            law = law_list[j % len(law_list)]
+            h_min, h_max = h_interval(law)
+            h = h_min + frac * (h_max - h_min)
+            assert outcome(lambda: f_legendre(law, d, h)) == outcome(
+                lambda: reference_f_legendre(law, d, h))
+
+    def test_matches_reference_at_given_p_max(self):
+        h = 0.3
+        for p_max in (200.0, 1000):
+            assert f_legendre(SL, 1.0, h, p_max=p_max) == reference_f_legendre(SL, 1.0, h, p_max)
+
+    def test_cached_arrays_are_read_only(self):
+        ps, zs = _order_grid(SL, 150.0, 100)
+        assert _order_grid(SL, 150.0, 100)[0] is ps
+        for array in (ps, zs):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
 
 
 class TestCurve:
