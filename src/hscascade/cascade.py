@@ -9,7 +9,6 @@ the independent branch realizations.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -216,11 +215,12 @@ def simulate(config: SimConfig, gen) -> StructureTable:
     NumPy calls that release the GIL.  Each cell is a pure function of
     its level and each level is the sum the cumulative sum over levels
     makes, so the results do not depend on timing and are the same bytes
-    as a serial run.  At most two levels wait for the worker, and every
-    generator streams its levels (see generators._sample_rows), so
-    memory is O(n_samples) plus the jumps of one level; any generator but
-    one atom without a tail adds its Poisson counts, 1 B per draw while
-    every count is below 256.
+    as a serial run.  At most two levels wait for the worker, each level
+    is built in place in the row its draws fill, and every generator
+    fills its rows block by block (see generators._sample_rows), so
+    memory is O(n_samples) for the levels plus one block; any generator
+    but one atom without a tail adds its Poisson counts, 1 B per draw
+    while every count is below 256, and a Gaussian part 8 B per draw.
     A cell whose ln S_p or jackknife error overflows raises OverflowError.
     """
     nl, ns = config.n_levels, config.n_samples
@@ -236,8 +236,13 @@ def simulate(config: SimConfig, gen) -> StructureTable:
 
     futures = []
     with ThreadPoolExecutor(max_workers=1) as worker:
-        # branch: log Phi(r^n) per sample, the running sum of the levels' draws
-        for branch in itertools.accumulate(_sample_rows(gen, nl, ns, config.seed)):
+        # branch: log Phi(r^n) per sample, the running sum of the levels' draws, built in
+        # place in the fresh row each level draws, which no other code holds
+        branch = None
+        for row in _sample_rows(gen, nl, ns, config.seed):
+            if branch is not None:
+                row += branch
+            branch = row
             if len(futures) >= 2:
                 futures[-2].result()  # level n-2 is done before level n is queued
             futures.append(worker.submit(cells, branch))

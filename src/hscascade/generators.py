@@ -206,7 +206,9 @@ def _analytic_deltas(gen, r: float, k: int, m_max: int) -> np.ndarray:
         raise ValueError(f"hierarchy step k must be >= 1, got {k}")
     if m_max < 2:
         raise ValueError(f"m_max must be >= 2, got {m_max}")
-    deltas = np.diff(ln_moment(gen, k * np.arange(m_max + 2))) / math.log(r)
+    psi = ln_moment(gen, k * np.arange(m_max + 2))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as ValueError below
+        deltas = np.diff(psi) / math.log(r)
     if not np.isfinite(deltas).all():
         raise ValueError("delta entries must be finite")
     return deltas
@@ -237,7 +239,10 @@ def sample_logW(gen, count: int, seed: int) -> np.ndarray:
     bit-identical and the counts keep their common random numbers.  The
     drift (and any Gaussian part) is added to the jump sum last, which
     gives the same bytes as adding the jumps to it.  This is the one-row
-    case of _sample_rows.
+    case of _sample_rows: the counts and jumps are drawn in blocks of at
+    most _BLOCK samples and _BLOCK jumps, so memory is the output plus
+    O(one block), and 8 B per draw for a Gaussian part and 1 B per draw
+    for the counts of any table but one atom.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -294,19 +299,51 @@ def _bucketed_pick(edges: np.ndarray):
     return pick
 
 
+# samples per block of a row, and jumps per block on the general path: every temporary
+# of a draw is a few times 8 B x _BLOCK, whatever the row's length
+_BLOCK = 1 << 18
+
+
+def _blocks(n: int):
+    """(start, stop) of the consecutive slices of range(n) with at most _BLOCK elements."""
+    return ((s, min(s + _BLOCK, n)) for s in range(0, n, _BLOCK))
+
+
+def _jump_blocks(nj: np.ndarray):
+    """(start, stop, jumps) of consecutive slices of the counts nj, cut at whole samples.
+
+    Each slice holds at most _BLOCK samples and at most _BLOCK jumps,
+    except that a sample with more jumps than _BLOCK is a slice of its own.
+    """
+    for s, e in _blocks(len(nj)):
+        total = int(nj[s:e].sum())
+        if total <= _BLOCK:
+            yield s, e, total
+            continue
+        ends = np.cumsum(nj[s:e], dtype=np.int64)  # jumps up to and including each sample
+        cuts, a, done = [], 0, 0
+        while a < e - s:
+            b = max(int(np.searchsorted(ends, done + _BLOCK, side="right")), a + 1)
+            cuts.append((s + a, s + b, int(ends[b - 1]) - done))
+            a, done = b, int(ends[b - 1])
+        del ends  # before the blocks allocate
+        yield from cuts
+
+
 def _poisson_counts(rng, rate: float, rows: int, cols: int) -> np.ndarray:
     """rng.poisson(rate, size=(rows, cols)) in the smallest unsigned dtype that holds it.
 
-    Drawn row by row (consecutive calls give the values of one call)
-    into uint8, widened with astype when a row's largest count needs it.
+    Drawn block by block (consecutive calls give the values of one call)
+    into uint8, widened with astype when a block's largest count needs it.
     """
     counts = np.empty((rows, cols), np.uint8)
     for i in range(rows):
-        row = rng.poisson(rate, size=cols)
-        top = row.max(initial=0)
-        if top > np.iinfo(counts.dtype).max:
-            counts = counts.astype(np.min_scalar_type(top))
-        counts[i] = row
+        for s, e in _blocks(cols):
+            block = rng.poisson(rate, size=e - s)
+            top = block.max()
+            if top > np.iinfo(counts.dtype).max:
+                counts = counts.astype(np.min_scalar_type(top))
+            counts[i, s:e] = block
     return counts
 
 
@@ -316,23 +353,27 @@ def _sample_rows(gen, rows: int, cols: int, seed: int):
     Concatenated, the rows are sample_logW(gen, rows * cols, seed) byte
     for byte: the stream is the same, only its output is cut into rows.
     A Gaussian part is drawn for all rows first, because its draws
-    precede every Poisson count in the stream.  With one atom and no
-    tail each row then draws its own counts (consecutive calls on one
-    Generator give the values of one large call).  Any other table draws
-    the counts of all rows, which fix the total jump count t, then reads
-    each row's jump uniforms from the main stream and its tail uniforms
-    from a second cursor placed t draws ahead (see _ahead).  A jump
-    uniform picks its slot by the exact bucketed search of
-    _bucketed_pick.  A table of the tail alone draws no jump uniforms:
-    every pick would be its one slot, and nothing reads the main stream
-    after the counts, so its sizes are the tail uniforms alone.  Every
-    row sums its jumps, 0.0 where a sample has none, then adds the drift
-    (and the Gaussian part) last; IEEE addition is commutative, and
-    LevyGenerator stores its drift without a negative zero, so each
-    sample's bytes are those of drift + gauss + jumps.  Memory is 8 B
-    per draw for a Gaussian part and, on the general path, 1 B per draw
-    for the counts (2 or 4 B once a row's largest count needs it), plus
-    O(cols + jumps in one row).
+    precede every Poisson count in the stream.  Each row is then filled
+    block by block (see _BLOCK), and the blocks read the stream in order;
+    consecutive calls on one Generator give the values of one large call.
+    With one atom and no tail each block draws its own counts and
+    gathers the prefix sums of the atom.  Any other table draws the
+    counts of all rows, which fix the total jump count t, then reads
+    each block's jump uniforms from the main stream and its tail uniforms
+    from a second cursor placed t draws ahead (see _ahead); its blocks
+    are cut at whole samples and hold at most _BLOCK jumps (a sample
+    with more is a block of its own).  A jump uniform picks its slot by
+    the exact bucketed search of _bucketed_pick.  A table of the tail
+    alone draws no jump uniforms: every pick would be its one slot, and
+    nothing reads the main stream after the counts, so its sizes are the
+    tail uniforms alone.  Every sample sums its jumps left to right from
+    0.0, then adds the drift (and the Gaussian part) last; IEEE addition
+    is commutative, and LevyGenerator stores its drift without a
+    negative zero, so each sample's bytes are those of drift + gauss +
+    jumps.  Memory is the row being filled plus O(one block), and 8 B
+    per draw of all rows for a Gaussian part; the general path adds the
+    counts of all rows, 1 B per draw (2 or 4 B once a block's largest
+    count needs it).
     """
     g = as_levy(gen)
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
@@ -347,9 +388,12 @@ def _sample_rows(gen, rows: int, cols: int, seed: int):
     rate = cum[-1] if rates else 0.0  # the total jump rate
 
     if len(table) == 1 and tail is None:
-        def jumps(i):  # the j-th prefix sum x + ... + x for a sample with j jumps
-            nj = rng.poisson(rate, size=cols)
-            return np.concatenate(([0.0], np.cumsum(np.full(nj.max(), table[0]))))[nj]
+        def fill(i, out):  # a sample with j jumps gets the j-th prefix sum x + ... + x
+            for s, e in _blocks(cols):
+                nj = rng.poisson(rate, size=e - s)
+                prefix = np.concatenate(([0.0], np.cumsum(np.full(nj.max(), table[0]))))
+                # "clip" never clips here and, unlike "raise", writes out unbuffered
+                np.take(prefix, nj, out=out[s:e], mode="clip")
     else:
         n_jumps = _poisson_counts(rng, rate, rows, cols)
         t = int(n_jumps.sum())
@@ -369,25 +413,26 @@ def _sample_rows(gen, rows: int, cols: int, seed: int):
         if not tail_only:
             # dividing by the table's own last entry makes the last edge exactly 1.0
             pick = _bucketed_pick(cum / rate)
-        owner = np.arange(cols)
+        owner = np.arange(min(cols, _BLOCK))
 
-        def jumps(i):  # the summed jumps of row i; its arrays are freed before it is yielded
-            nj = n_jumps[i]
-            if tail_only:
-                sizes = tail_sizes(int(nj.sum()))
-            else:
-                sizes = np.take(table, pick(rng.random(int(nj.sum()))))
-                if tail is not None:
-                    sel = np.isnan(sizes)
-                    sizes[sel] = tail_sizes(int(sel.sum()))
-                    del sel  # before repeat() allocates
-            # each sample's jumps are contiguous and in order, so it sums them as one call would;
-            # with no jump in the row bincount returns int64 zeros
-            return np.bincount(np.repeat(owner, nj), weights=sizes,
-                               minlength=cols).astype(float, copy=False)
+        def fill(i, out):  # the summed jumps of row i, one block at a time
+            for s, e, jumps in _jump_blocks(n_jumps[i]):
+                if tail_only:
+                    sizes = tail_sizes(jumps)
+                else:
+                    sizes = np.take(table, pick(rng.random(jumps)))
+                    if tail is not None:
+                        sel = np.isnan(sizes)
+                        sizes[sel] = tail_sizes(int(sel.sum()))
+                        del sel  # before repeat() allocates
+                # each sample's jumps are contiguous and in order, so it sums them as one
+                # call would; with no jump in the block bincount returns int64 zeros
+                out[s:e] = np.bincount(np.repeat(owner[:e - s], n_jumps[i, s:e]),
+                                       weights=sizes, minlength=e - s)
 
     for i in range(rows):
-        out = jumps(i)
+        out = np.empty(cols)
+        fill(i, out)
         if gauss is None:
             out += g.drift
         else:

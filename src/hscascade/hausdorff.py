@@ -258,9 +258,17 @@ def empirical_w1_multipliers(gen_a, gen_b, n_samples: int, seed: int) -> float:
     """Order-statistics estimate of W1 between the two multiplier laws."""
     if n_samples < 10_000:
         raise ValueError(f"n_samples must be >= 10000, got {n_samples}")
-    wa = np.sort(np.exp(sample_logW(gen_a, n_samples, seed)))
-    wb = np.sort(np.exp(sample_logW(gen_b, n_samples, seed)))
-    return float(np.abs(wa - wb).mean())
+
+    def sorted_multipliers(gen):  # W = exp(log W), sorted in the sampled array
+        w = sample_logW(gen, n_samples, seed)
+        np.exp(w, out=w)
+        w.sort()
+        return w
+
+    wa = sorted_multipliers(gen_a)
+    wb = sorted_multipliers(gen_b)
+    wa -= wb
+    return float(np.abs(wa, out=wa).mean())
 
 
 # --- perturbation presets ----------------------------------------------

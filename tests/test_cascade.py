@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from hscascade import cascade
+from hscascade import generators as gens_module
 from hscascade.cascade import (
     SimConfig,
     StructureTable,
@@ -32,8 +33,9 @@ from hscascade.generators import (
     normalize_mean_one,
     sample_logW,
 )
-from hscascade.hausdorff import smear_perturbation
+from hscascade.hausdorff import empirical_w1_multipliers, smear_perturbation
 from hscascade.spectrum import SpectrumCurve
+from test_generators import SMALL_BLOCKS, block_laws, reference_sample_logW
 
 SL = ScalingLaw(gamma=1.0 / 9.0, big_c=2.0, beta=2.0 / 3.0, k=3)
 SL_LP = logpoisson_from_scaling(SL, 0.5)
@@ -122,10 +124,10 @@ def reference_ln_mean_and_jackknife(z):
     return ln_s, se
 
 
-def reference_simulate(config, gen):
-    """simulate before the pipeline: one sample_logW call, np.cumsum over levels, serial cells."""
+def reference_simulate(config, gen, sample=sample_logW):
+    """simulate before the pipeline: one `sample` call, np.cumsum over levels, serial cells."""
     nl, ns = config.n_levels, config.n_samples
-    branch = np.cumsum(sample_logW(gen, nl * ns, config.seed).reshape(nl, ns), axis=0)
+    branch = np.cumsum(sample(gen, nl * ns, config.seed).reshape(nl, ns), axis=0)
     z = np.empty(ns)
     ln_s, se = np.array([
         (0.0, 0.0) if p == 0.0 else _ln_mean_and_jackknife(np.multiply(p, level, out=z))
@@ -184,6 +186,28 @@ class TestPipeline:
         assert table.ln_s.tobytes() == ln_s.tobytes()
         assert table.se.tobytes() == se.tobytes()
 
+    @settings(max_examples=40, deadline=None)
+    @given(gen=block_laws(), n_levels=st.integers(2, 4), n_samples=st.integers(100, 400),
+           block=st.sampled_from(SMALL_BLOCKS), seed=st.integers(0, 2**32 - 1))
+    def test_matches_reference_in_small_blocks(self, gen, n_levels, n_samples, block, seed):
+        cfg = SimConfig(params=CascadeParams(r=0.5, k=3), n_levels=n_levels,
+                        n_samples=n_samples, seed=seed)
+        ln_s, se = reference_simulate(cfg, gen, reference_sample_logW)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gens_module, "_BLOCK", block)
+            table = simulate(cfg, gen)
+        assert table.ln_s.tobytes() == ln_s.tobytes()
+        assert table.se.tobytes() == se.tobytes()
+
+    def test_matches_reference_across_a_block(self):
+        cfg = SimConfig(params=CascadeParams(r=0.5, k=3), n_levels=2,
+                        n_samples=gens_module._BLOCK + 1, seed=5)
+        gen = LevyGenerator(drift=0.1, sigma2=0.2, atoms=((-0.3, 1.0), (0.1, 0.4)))
+        table = simulate(cfg, gen)
+        ln_s, se = reference_simulate(cfg, gen, reference_sample_logW)
+        assert table.ln_s.tobytes() == ln_s.tobytes()
+        assert table.se.tobytes() == se.tobytes()
+
     def test_matches_reference_under_fast_thread_switching(self):
         # both threads read the levels; a switch every microsecond would expose
         # any write to an array the other thread still reads
@@ -215,10 +239,17 @@ class TestPipeline:
         assert threading.active_count() == threads
 
 
+STABLE_TAIL_LAW = LevyGenerator(drift=SL_LP.a, tail=StableTail(alpha=0.5, c=0.05, x_min=1e-4,
+                                                              x_max=1.0))
+
+
 class TestMemory:
     """The traced peak stays within 4 x (8 B x total draws) for the one-atom law and 6 x for
     33 atoms; simulate's, at 16 levels, within 10 x one level for the one-atom law, 80 x
-    for a stable tail, and 30 x and 14 x for a stable tail and 200 atoms with 1-B counts."""
+    for a stable tail, and 30 x and 14 x for a stable tail and 200 atoms with 1-B counts.
+    Drawn in blocks, the jumps and counts of a row add one block to its draws: 1.75 x for
+    the one-atom law, 4 x for a stable tail, 10 x for 200 atoms at 50 jumps per draw, 3.5 x
+    for a W1 pair, and 15 x one level for simulate on a stable tail at 16 levels."""
 
     def traced_peak(self, run):
         tracemalloc.start()
@@ -257,6 +288,36 @@ class TestMemory:
         cfg = SimConfig(params=CascadeParams(r=0.5, k=3), n_levels=16, n_samples=125_000, seed=0)
         peak = self.traced_peak(lambda: simulate(cfg, gen))
         assert peak <= 80 * 8 * 125_000
+
+    def test_sample_logW_counts_in_blocks(self):
+        # the output and one block of int64 counts (2.00 x with the counts of the whole draw)
+        peak = self.traced_peak(lambda: sample_logW(SL_LP, 1_000_000, 0))
+        assert peak <= 1.75 * 8 * 1_000_000
+
+    def test_sample_logW_stable_tail_in_blocks(self):
+        # ~10 jumps per draw, drawn and summed one block at a time (21.9 x for a whole row)
+        peak = self.traced_peak(lambda: sample_logW(STABLE_TAIL_LAW, 1_000_000, 0))
+        assert peak <= 4 * 8 * 1_000_000
+
+    def test_sample_logW_jumps_capped_per_block(self):
+        # 200 atoms at 50 jumps per draw: no block holds more than _BLOCK jumps (108 x uncapped)
+        rng = np.random.default_rng(2024)
+        gen = LevyGenerator(drift=SL_LP.a, atoms=tuple(zip(
+            rng.uniform(-0.4, -0.02, 200).tolist(), (rng.dirichlet(np.ones(200)) * 50.0).tolist())))
+        peak = self.traced_peak(lambda: sample_logW(gen, 200_000, 0))
+        assert peak <= 10 * 8 * 200_000
+
+    def test_w1_pair_in_place(self):
+        # exp, sort and difference run in the two sampled arrays (4.90 x with copies)
+        gen = smear_perturbation(SL_LP, 3, 0.2)
+        peak = self.traced_peak(lambda: empirical_w1_multipliers(gen, SL_LP, 1_000_000, 0))
+        assert peak <= 3.5 * 8 * 1_000_000
+
+    def test_simulate_stable_tail_in_blocks(self):
+        # the counts of 16 levels, a few levels and one block of jumps (26.9 x for whole rows)
+        cfg = SimConfig(params=CascadeParams(r=0.5, k=3), n_levels=16, n_samples=125_000, seed=0)
+        peak = self.traced_peak(lambda: simulate(cfg, STABLE_TAIL_LAW))
+        assert peak <= 15 * 8 * 125_000
 
     @pytest.mark.parametrize("law, bound", [("stable_tail", 30), ("atoms200", 14)])
     def test_simulate_counts_in_one_byte(self, law, bound):

@@ -10,11 +10,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import integrate
 
+from hscascade import generators as gens_module
 from hscascade.exponents import ScalingLaw, zeta
 from hscascade.generators import (
     LevyGenerator,
+    _BLOCK,
     _ahead,
     _bucketed_pick,
+    _jump_blocks,
     _sample_rows,
     LogPoissonParams,
     StableTail,
@@ -624,6 +627,103 @@ class TestSampleRows:
             per_row = rng.poisson(total_rate, (8, 4)).sum(axis=1)  # the sampler's counts
             seen.add("none" if not per_row.any() else "first" if per_row[0] else "later")
         assert seen == {"none", "first", "later"}
+
+
+@st.composite
+def block_laws(draw):
+    """One atom, 2-40 atoms, a StableTail, or atoms and a tail, each with sigma2 = 0 or 0.2.
+
+    The total jump rate runs from ~0.01, where most small blocks draw no
+    jump, to 40, where one sample outgrows a small jump cap.
+    """
+    kind = draw(st.sampled_from(["one atom", "atoms", "tail", "atoms + tail"]))
+    rate = draw(st.sampled_from([0.01, 0.3, 2.0, 40.0]))
+    atoms, tail = (), None
+    if kind != "tail":
+        n_atoms = 1 if kind == "one atom" else draw(st.integers(2, 40))
+        x = st.floats(-1.0, -0.01) | st.floats(0.01, 0.3)
+        locs = draw(st.lists(x, min_size=n_atoms, max_size=n_atoms))
+        weights = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=n_atoms, max_size=n_atoms)))
+        atoms = tuple(zip(locs, (weights * rate / weights.sum()).tolist()))
+    if "tail" in kind:
+        alpha = draw(st.floats(0.1, 1.9))
+        x_min, x_max = 1e-3, 1.0
+        tail = StableTail(alpha=alpha, c=rate * alpha / (x_min**-alpha - x_max**-alpha),
+                          x_min=x_min, x_max=x_max)
+    return LevyGenerator(drift=draw(st.floats(-0.5, 0.5)), sigma2=draw(st.sampled_from([0.0, 0.2])),
+                         atoms=atoms, tail=tail)
+
+
+# block sizes far below _BLOCK cross many blocks, and the jump cap, in a small draw
+SMALL_BLOCKS = [1, 2, 7, 64]
+
+
+class TestBlocks:
+    """Drawn in blocks of any size, the samples are the reference sampler's bytes."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(gen=block_laws(), count=st.integers(1, 1500), block=st.sampled_from(SMALL_BLOCKS),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_reference(self, gen, count, block, seed):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gens_module, "_BLOCK", block)
+            got = sample_logW(gen, count, seed)
+        assert got.tobytes() == reference_sample_logW(gen, count, seed).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(gen=block_laws(), rows=st.integers(1, 5), cols=st.integers(1, 300),
+           block=st.sampled_from(SMALL_BLOCKS), seed=st.integers(0, 2**32 - 1))
+    def test_rows_match_reference(self, gen, rows, cols, block, seed):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gens_module, "_BLOCK", block)
+            got = np.concatenate(list(_sample_rows(gen, rows, cols, seed)))
+        assert got.tobytes() == reference_sample_logW(gen, rows * cols, seed).tobytes()
+
+    @pytest.mark.parametrize("gen", [
+        LevyGenerator(drift=0.1, atoms=((-0.3, 0.05),)),
+        LevyGenerator(drift=0.1, sigma2=0.2, atoms=((-0.3, 0.02), (0.2, 0.03))),
+        LevyGenerator(drift=0.1, tail=StableTail(alpha=0.5, c=0.05 * 0.5 / (1e3**0.5 - 1.0),
+                                                 x_min=1e-3, x_max=1.0)),
+    ], ids=["one atom", "atoms", "tail"])
+    def test_blocks_without_jumps(self, monkeypatch, gen):
+        # at rate 0.05 most blocks of 2 draw no jump, and some rows of 10 draw none
+        monkeypatch.setattr(gens_module, "_BLOCK", 2)
+        for seed in range(10):
+            got = np.concatenate(list(_sample_rows(gen, 6, 10, seed)))
+            assert got.tobytes() == reference_sample_logW(gen, 60, seed).tobytes()
+
+    @pytest.mark.parametrize("tail", [None, CLASSIFY_TAIL], ids=["one-atom path", "general path"])
+    def test_samples_over_the_jump_cap(self, monkeypatch, tail):
+        # ~400 jumps per sample against a cap of 64: each sample is a block of its own,
+        # in rows narrower than one block of samples
+        monkeypatch.setattr(gens_module, "_BLOCK", 64)
+        gen = LevyGenerator(drift=0.1, atoms=((-0.01, 400.0),), tail=tail)
+        got = np.concatenate(list(_sample_rows(gen, 4, 50, 9)))
+        assert got.tobytes() == reference_sample_logW(gen, 200, 9).tobytes()
+
+    @pytest.mark.parametrize("count", [_BLOCK - 1, _BLOCK + 1])
+    @pytest.mark.parametrize("gen", [
+        SL_LP,
+        # ~2 jumps per sample: _BLOCK + 1 samples hold more than _BLOCK jumps
+        LevyGenerator(drift=0.1, sigma2=0.3, atoms=((-0.3, 1.0), (0.1, 0.4)), tail=CLASSIFY_TAIL),
+    ], ids=["one atom", "atoms + tail"])
+    def test_at_the_block_size(self, gen, count):
+        got = sample_logW(gen, count, 4)
+        assert got.tobytes() == reference_sample_logW(gen, count, 4).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(nj=hnp.arrays(np.uint8, st.integers(1, 200), elements=st.integers(0, 20)),
+           block=st.sampled_from(SMALL_BLOCKS))
+    def test_jump_blocks_cut_at_whole_samples(self, nj, block):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gens_module, "_BLOCK", block)
+            cuts = list(_jump_blocks(nj))
+        assert [a for a, _, _ in cuts] == [0] + [b for _, b, _ in cuts[:-1]]
+        assert cuts[-1][1] == len(nj)
+        for a, b, jumps in cuts:
+            assert 0 < b - a <= block
+            assert jumps == int(nj[a:b].sum())
+            assert jumps <= block or b - a == 1
 
 
 class TestNoNegativeZero:

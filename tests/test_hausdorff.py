@@ -315,7 +315,6 @@ class TestResidualWithoutSeries:
         got = a1_residual_vs_reference(gen, ref, r, k, m_max)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in subtract:RuntimeWarning")
     def test_non_finite_deltas_raise_as_the_series_does(self):
         # psi(9) = -5.5e307 and psi(12) = 1.3e308 are finite, their difference is not
         gen = LevyGenerator(drift=5e306, atoms=((-50.0, 1e308), (50.0, 1.7e308 / math.expm1(600.0))))
