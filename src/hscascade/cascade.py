@@ -218,9 +218,8 @@ def simulate(config: SimConfig, gen) -> StructureTable:
     as a serial run.  At most two levels wait for the worker, each level
     is built in place in the row its draws fill, and every generator
     fills its rows block by block (see generators._sample_rows), so
-    memory is O(n_samples) for the levels plus one block; any generator
-    but one atom without a tail adds its Poisson counts, 1 B per draw
-    while every count is below 256, and a Gaussian part 8 B per draw.
+    memory is O(n_samples) for the levels plus one block of counts,
+    jumps and normals, for every generator and any n_levels.
     A cell whose ln S_p or jackknife error overflows raises OverflowError.
     """
     nl, ns = config.n_levels, config.n_samples

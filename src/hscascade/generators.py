@@ -18,7 +18,6 @@ raise instead of saturating.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 from dataclasses import dataclass, replace
@@ -223,48 +222,29 @@ def delta_series_analytic(gen, r: float, k: int, m_max: int) -> DeltaSeries:
 def sample_logW(gen, count: int, seed: int) -> np.ndarray:
     """Draw i.i.d. samples of log W, deterministic given (gen, count, seed).
 
-    Uses a counter-based (Philox) stream keyed by the seed.  The jump
-    part draws one Poisson count per sample from the total jump rate,
-    so two generators with equal total rate sampled with the same seed
-    share their jump counts (useful for common-random-number
-    comparisons).  Every jump is then sized from one jump table, the
-    atom locations followed by a NaN slot for a StableTail, at an index
-    drawn from the categorical law of the cumulative rates by an exact
-    bucketed search; the tail's slots are filled by an inverse-CDF draw
-    whose uniforms follow every jump uniform in the stream.  A table of
-    the tail alone draws no index, since every one would be its slot.  A
+    Four counter-based streams come from one Philox key, the seed: the
+    key's own stream draws the Poisson counts, and the streams 1, 2 and 3
+    jumps (2**128 draws each) ahead of it draw the jump uniforms, the
+    tail uniforms and the normals of a Gaussian part.  Each component
+    reads only its own stream, so the counts depend only on the seed and
+    the total jump rate: two generators with equal total rate sampled
+    with the same seed share their jump counts (useful for
+    common-random-number comparisons).  Every jump is sized from one jump
+    table, the atom locations followed by a NaN slot for a StableTail,
+    at an index drawn from the categorical law of the cumulative rates
+    by an exact bucketed search; the tail's slots are filled by an
+    inverse-CDF draw.  A table of the tail alone draws no index, and a
     table of one atom and no tail draws nothing after the counts: a
     sample with j jumps gets the j-th prefix sum x + x + ... + x, the
-    same left-to-right sum as the general path, so the output is
-    bit-identical and the counts keep their common random numbers.  The
-    drift (and any Gaussian part) is added to the jump sum last, which
-    gives the same bytes as adding the jumps to it.  This is the one-row
-    case of _sample_rows: the counts and jumps are drawn in blocks of at
-    most _BLOCK samples and _BLOCK jumps, so memory is the output plus
-    O(one block), and 8 B per draw for a Gaussian part and 1 B per draw
-    for the counts of any table but one atom.
+    same left-to-right sum as the general path, so one atom (x, w) and
+    two atoms (x, w/2) give the same bytes.  The drift, or a normal drawn
+    about it, is added to the jump sum last.  This is the one-row case of
+    _sample_rows, which draws in blocks, so memory is the output plus
+    O(one block).
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     return next(_sample_rows(gen, 1, count, seed))
-
-
-def _ahead(rng, n: int):
-    """A second Generator on rng's Philox stream that starts n doubles later.
-
-    Philox is counter-based: each counter step makes four 64-bit outputs
-    and every double takes one.  The copy uses up its buffered outputs,
-    skips whole steps with advance() (which drops the buffer, so it runs
-    only once the buffer is empty) and draws the remainder.
-    """
-    bits = copy.deepcopy(rng.bit_generator)
-    cursor = np.random.Generator(bits)
-    ahead = min(n, 4 - bits.state["buffer_pos"])
-    cursor.random(ahead)
-    if n - ahead >= 4:
-        bits.advance((n - ahead) // 4)
-    cursor.random((n - ahead) % 4)
-    return cursor
 
 
 def _bucketed_pick(edges: np.ndarray):
@@ -330,54 +310,31 @@ def _jump_blocks(nj: np.ndarray):
         yield from cuts
 
 
-def _poisson_counts(rng, rate: float, rows: int, cols: int) -> np.ndarray:
-    """rng.poisson(rate, size=(rows, cols)) in the smallest unsigned dtype that holds it.
-
-    Drawn block by block (consecutive calls give the values of one call)
-    into uint8, widened with astype when a block's largest count needs it.
-    """
-    counts = np.empty((rows, cols), np.uint8)
-    for i in range(rows):
-        for s, e in _blocks(cols):
-            block = rng.poisson(rate, size=e - s)
-            top = block.max()
-            if top > np.iinfo(counts.dtype).max:
-                counts = counts.astype(np.min_scalar_type(top))
-            counts[i, s:e] = block
-    return counts
-
-
 def _sample_rows(gen, rows: int, cols: int, seed: int):
     """Yield `rows` arrays of `cols` draws of log W, one after the other.
 
-    Concatenated, the rows are sample_logW(gen, rows * cols, seed) byte
-    for byte: the stream is the same, only its output is cut into rows.
-    A Gaussian part is drawn for all rows first, because its draws
-    precede every Poisson count in the stream.  Each row is then filled
-    block by block (see _BLOCK), and the blocks read the stream in order;
-    consecutive calls on one Generator give the values of one large call.
-    With one atom and no tail each block draws its own counts and
-    gathers the prefix sums of the atom.  Any other table draws the
-    counts of all rows, which fix the total jump count t, then reads
-    each block's jump uniforms from the main stream and its tail uniforms
-    from a second cursor placed t draws ahead (see _ahead); its blocks
-    are cut at whole samples and hold at most _BLOCK jumps (a sample
-    with more is a block of its own).  A jump uniform picks its slot by
-    the exact bucketed search of _bucketed_pick.  A table of the tail
-    alone draws no jump uniforms: every pick would be its one slot, and
-    nothing reads the main stream after the counts, so its sizes are the
-    tail uniforms alone.  Every sample sums its jumps left to right from
-    0.0, then adds the drift (and the Gaussian part) last; IEEE addition
-    is commutative, and LevyGenerator stores its drift without a
-    negative zero, so each sample's bytes are those of drift + gauss +
-    jumps.  Memory is the row being filled plus O(one block), and 8 B
-    per draw of all rows for a Gaussian part; the general path adds the
-    counts of all rows, 1 B per draw (2 or 4 B once a block's largest
-    count needs it).
+    Each random component reads its own stream (see sample_logW) in
+    row-major order, so the rows concatenated are
+    sample_logW(gen, rows * cols, seed) byte for byte; consecutive calls
+    on one Generator give the values of one large call.  Each row is
+    filled block by block (see _BLOCK), and each block draws its counts,
+    then its jump sums, then adds the drift or its normals.  With at
+    most one atom and no tail a block gathers the prefix sums of the
+    atom.  Any other table cuts the block at whole samples into blocks
+    of at most _BLOCK jumps (a sample with more is a block of its own),
+    picks each jump's slot by _bucketed_pick and sums each sample's
+    jumps with bincount.  A table of the tail alone draws no jump uniforms: every
+    pick would be its one slot.  Every sample sums its jumps left to
+    right from 0.0, then adds the drift (or drift + normal) last; IEEE
+    addition is commutative, and LevyGenerator stores its drift without
+    a negative zero, so each sample's bytes are those of
+    drift + normal + jumps.  Memory is the row being filled plus
+    O(one block).
     """
     g = as_levy(gen)
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    gauss = rng.normal(0.0, math.sqrt(g.sigma2), size=rows * cols) if g.sigma2 > 0 else None
+    bits = np.random.Philox(key=int(seed))
+    counts = np.random.Generator(bits)
+    jump_rng, tail_rng, normals = (np.random.Generator(bits.jumped(j)) for j in (1, 2, 3))
     table = [x for x, _ in g.atoms]
     rates = [w for _, w in g.atoms]
     tail = g.tail
@@ -386,59 +343,49 @@ def _sample_rows(gen, rows: int, cols: int, seed: int):
         rates.append(tail.mass)
     cum = np.cumsum(rates)
     rate = cum[-1] if rates else 0.0  # the total jump rate
+    prefix_path = len(table) <= 1 and tail is None  # at most one atom, and no tail
+    tail_only = tail is not None and not g.atoms
+    if tail is not None:
+        lo, hi, a = tail.x_min ** -tail.alpha, tail.x_max ** -tail.alpha, tail.alpha
 
-    if len(table) == 1 and tail is None:
-        def fill(i, out):  # a sample with j jumps gets the j-th prefix sum x + ... + x
-            for s, e in _blocks(cols):
-                nj = rng.poisson(rate, size=e - s)
-                prefix = np.concatenate(([0.0], np.cumsum(np.full(nj.max(), table[0]))))
-                # "clip" never clips here and, unlike "raise", writes out unbuffered
-                np.take(prefix, nj, out=out[s:e], mode="clip")
-    else:
-        n_jumps = _poisson_counts(rng, rate, rows, cols)
-        t = int(n_jumps.sum())
-        if tail is not None:
-            tail_rng = _ahead(rng, t)  # the tail's uniforms follow all t jump uniforms
-            lo, hi, a = tail.x_min ** -tail.alpha, tail.x_max ** -tail.alpha, tail.alpha
-
-            def tail_sizes(n):
-                # inverse-CDF draw from c*y**(-1-alpha) on [x_min, x_max], y = |x|:
-                # -((lo - v*(lo - hi)) ** (-1/a)), one step at a time in v
-                v = tail_rng.random(n)
-                v *= lo - hi
-                np.subtract(lo, v, out=v)
-                v **= -1.0 / a
-                return np.negative(v, out=v)
-        tail_only = tail is not None and not g.atoms
-        if not tail_only:
-            # dividing by the table's own last entry makes the last edge exactly 1.0
-            pick = _bucketed_pick(cum / rate)
+        def tail_sizes(n):
+            # inverse-CDF draw from c*y**(-1-alpha) on [x_min, x_max], y = |x|:
+            # -((lo - v*(lo - hi)) ** (-1/a)), one step at a time in v
+            v = tail_rng.random(n)
+            v *= lo - hi
+            np.subtract(lo, v, out=v)
+            v **= -1.0 / a
+            return np.negative(v, out=v)
+    if not prefix_path:
+        # dividing by the table's own last entry makes the last edge exactly 1.0
+        pick = _bucketed_pick(cum / rate)
         owner = np.arange(min(cols, _BLOCK))
 
-        def fill(i, out):  # the summed jumps of row i, one block at a time
-            for s, e, jumps in _jump_blocks(n_jumps[i]):
-                if tail_only:
-                    sizes = tail_sizes(jumps)
-                else:
-                    sizes = np.take(table, pick(rng.random(jumps)))
-                    if tail is not None:
-                        sel = np.isnan(sizes)
-                        sizes[sel] = tail_sizes(int(sel.sum()))
-                        del sel  # before repeat() allocates
-                # each sample's jumps are contiguous and in order, so it sums them as one
-                # call would; with no jump in the block bincount returns int64 zeros
-                out[s:e] = np.bincount(np.repeat(owner[:e - s], n_jumps[i, s:e]),
-                                       weights=sizes, minlength=e - s)
-
-    for i in range(rows):
+    for _ in range(rows):
         out = np.empty(cols)
-        fill(i, out)
-        if gauss is None:
-            out += g.drift
-        else:
-            gs = gauss[i * cols:(i + 1) * cols]
-            gs += g.drift
-            out += gs
+        for s, e in _blocks(cols):
+            nj = counts.poisson(rate, size=e - s)
+            block = out[s:e]
+            if prefix_path:  # a sample with j jumps gets the j-th prefix sum x + ... + x
+                prefix = np.concatenate(([0.0], np.cumsum(np.repeat(table, nj.max()))))
+                # "clip" never clips here and, unlike "raise", writes out unbuffered
+                np.take(prefix, nj, out=block, mode="clip")
+            else:
+                for i, j, jumps in _jump_blocks(nj):
+                    if tail_only:
+                        sizes = tail_sizes(jumps)
+                    else:
+                        sizes = np.take(table, pick(jump_rng.random(jumps)))
+                        if tail is not None:
+                            sel = np.isnan(sizes)
+                            sizes[sel] = tail_sizes(int(sel.sum()))
+                            del sel  # before repeat() allocates
+                    # each sample's jumps are contiguous and in order, so it sums them as one
+                    # call would; with no jump in the block bincount returns int64 zeros
+                    block[i:j] = np.bincount(np.repeat(owner[:j - i], nj[i:j]),
+                                             weights=sizes, minlength=j - i)
+            block += normals.normal(g.drift, math.sqrt(g.sigma2), e - s) if g.sigma2 > 0 else g.drift
+        nj = sizes = None  # free the last block's counts and jumps while the row is in use
         yield out
 
 

@@ -246,10 +246,11 @@ STABLE_TAIL_LAW = LevyGenerator(drift=SL_LP.a, tail=StableTail(alpha=0.5, c=0.05
 class TestMemory:
     """The traced peak stays within 4 x (8 B x total draws) for the one-atom law and 6 x for
     33 atoms; simulate's, at 16 levels, within 10 x one level for the one-atom law, 80 x
-    for a stable tail, and 30 x and 14 x for a stable tail and 200 atoms with 1-B counts.
-    Drawn in blocks, the jumps and counts of a row add one block to its draws: 1.75 x for
-    the one-atom law, 4 x for a stable tail, 10 x for 200 atoms at 50 jumps per draw, 3.5 x
-    for a W1 pair, and 15 x one level for simulate on a stable tail at 16 levels."""
+    for a stable tail, and 12 x for a stable tail and for 200 atoms. Drawn in blocks, the
+    jumps, counts and normals of a row add one block to its draws: 1.75 x for the one-atom
+    law, 4 x for a stable tail, 10 x for 200 atoms at 50 jumps per draw, 3.5 x for a W1
+    pair, 15 x one level for simulate on a stable tail at 16 levels, and 8 x and 7 x for
+    simulate on a Gaussian part without and with an atom at 16 levels."""
 
     def traced_peak(self, run):
         tracemalloc.start()
@@ -319,10 +320,10 @@ class TestMemory:
         peak = self.traced_peak(lambda: simulate(cfg, STABLE_TAIL_LAW))
         assert peak <= 15 * 8 * 125_000
 
-    @pytest.mark.parametrize("law, bound", [("stable_tail", 30), ("atoms200", 14)])
-    def test_simulate_counts_in_one_byte(self, law, bound):
-        # the general path keeps the Poisson counts of all 16 levels, uint8 while they fit:
-        # 16 x 1 B per sample, where int64 counts took 16 x 8 B (41 x and 25 x in all)
+    @pytest.mark.parametrize("law, bound", [("stable_tail", 12), ("atoms200", 12)])
+    def test_simulate_counts_one_block_at_a_time(self, law, bound):
+        # each block draws its own counts, so no level's counts outlive its row
+        # (9.5 x and 9.0 x; 10.4 x and 11.0 x with the 1-B counts of all 16 levels)
         rng = np.random.default_rng(2024)
         gen = {
             "stable_tail": LevyGenerator(drift=SL_LP.a, tail=StableTail(alpha=0.5, c=0.05,
@@ -331,6 +332,17 @@ class TestMemory:
                 rng.uniform(-0.4, -0.02, 200).tolist(),
                 (rng.dirichlet(np.ones(200)) * SL_LP.lam).tolist()))),
         }[law]
+        cfg = SimConfig(params=CascadeParams(r=0.5, k=3), n_levels=16, n_samples=125_000, seed=0)
+        peak = self.traced_peak(lambda: simulate(cfg, gen))
+        assert peak <= bound * 8 * 125_000
+
+    @pytest.mark.parametrize("gen, bound", [
+        (LevyGenerator(drift=-0.1, sigma2=0.2), 8),
+        (LevyGenerator(drift=SL_LP.a, sigma2=0.2, atoms=((SL_LP.b, SL_LP.lam),)), 7),
+    ], ids=["sigma2", "sigma2 + atom"])
+    def test_simulate_gaussian_part_in_blocks(self, gen, bound):
+        # each block draws its own normals, so the peak does not grow with n_levels
+        # (6.0 x and 5.0 x; 24.0 x and 21.0 x with the normals of all 16 levels)
         cfg = SimConfig(params=CascadeParams(r=0.5, k=3), n_levels=16, n_samples=125_000, seed=0)
         peak = self.traced_peak(lambda: simulate(cfg, gen))
         assert peak <= bound * 8 * 125_000

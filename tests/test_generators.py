@@ -15,7 +15,6 @@ from hscascade.exponents import ScalingLaw, zeta
 from hscascade.generators import (
     LevyGenerator,
     _BLOCK,
-    _ahead,
     _bucketed_pick,
     _jump_blocks,
     _sample_rows,
@@ -191,6 +190,18 @@ class TestSampleLogW:
             x = np.exp(p * logw)
             se = x.std(ddof=1) / math.sqrt(n)
             assert abs(x.mean() - math.exp(ln_moment(SL_LP, p))) < 4 * se
+
+    def test_monte_carlo_moments_of_every_stream(self):
+        # atoms, a StableTail and a Gaussian part read all four streams: counts, jump
+        # uniforms, tail uniforms and normals
+        gen = LevyGenerator(drift=0.05, sigma2=0.1, atoms=((-0.3, 0.8), (0.15, 0.5)),
+                            tail=StableTail(alpha=0.5, c=0.05, x_min=1e-3, x_max=1.0))
+        n = 1_000_000
+        logw = sample_logW(gen, n, seed=3)
+        for p in (1, 2, 3):
+            x = np.exp(p * logw)
+            se = x.std(ddof=1) / math.sqrt(n)
+            assert abs(x.mean() - math.exp(ln_moment(gen, p))) < 4 * se
 
     def test_stable_tail_samplable(self):
         gen = LevyGenerator(
@@ -437,17 +448,21 @@ class TestSerializationProperties:
 # --- the random stream ---------------------------------------------------
 
 def reference_sample_logW(gen, count, seed):
-    """The sampler before the jump table: a categorical pick and a per-atom mask loop.
+    """The sampler as whole arrays: a categorical pick and a per-atom mask loop.
 
-    Pins the random stream.  The total rate is summed left to right, as
-    float sum() did before Python 3.12.
+    Pins the random streams: the counts come from Philox(key=seed), and
+    the jump uniforms, the tail uniforms and the normals from that
+    generator jumped 1, 2 and 3 times.  The total rate is summed left to
+    right, as float sum() did before Python 3.12.
     """
     g = as_levy(gen)
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    bits = np.random.Philox(key=int(seed))
+    counts, jump_rng, tail_rng, normals = (np.random.Generator(b) for b in (
+        bits, bits.jumped(1), bits.jumped(2), bits.jumped(3)))
 
     out = np.full(count, g.drift, dtype=float)
     if g.sigma2 > 0:
-        out += rng.normal(0.0, math.sqrt(g.sigma2), size=count)
+        out += normals.normal(0.0, math.sqrt(g.sigma2), size=count)
 
     locs = [x for x, _ in g.atoms]
     rates = [w for _, w in g.atoms]
@@ -458,22 +473,21 @@ def reference_sample_logW(gen, count, seed):
     if total_rate == 0.0:
         return out
 
-    n_jumps = rng.poisson(total_rate, size=count)
+    n_jumps = counts.poisson(total_rate, size=count)
     t = int(n_jumps.sum())
     if t == 0:
         return out
 
     cum = np.cumsum(rates) / total_rate
-    pick = np.searchsorted(cum, rng.random(t), side="right")
+    pick = np.searchsorted(cum, jump_rng.random(t), side="right")
     sizes = np.empty(t, dtype=float)
     for i, x in enumerate(locs):
         sizes[pick == i] = x
     if tail is not None:
         sel = pick == len(locs)
-        if sel.any():
-            v = rng.random(int(sel.sum()))
-            lo, hi, a = tail.x_min ** -tail.alpha, tail.x_max ** -tail.alpha, tail.alpha
-            sizes[sel] = -((lo - v * (lo - hi)) ** (-1.0 / a))
+        v = tail_rng.random(int(sel.sum()))
+        lo, hi, a = tail.x_min ** -tail.alpha, tail.x_max ** -tail.alpha, tail.alpha
+        sizes[sel] = -((lo - v * (lo - hi)) ** (-1.0 / a))
 
     sample_idx = np.repeat(np.arange(count), n_jumps)
     out += np.bincount(sample_idx, weights=sizes, minlength=count)
@@ -553,16 +567,11 @@ class TestRandomStream:
 
     @pytest.mark.parametrize("tail", [None, CLASSIFY_TAIL], ids=["one-atom path", "general path"])
     def test_pinned_rate_400_atom(self, tail):
-        # counts of ~400 do not fit the general path's first uint8 count table, which is widened
+        # ~400 jumps per draw: large counts, a long one-atom prefix table, and on the general
+        # path ~400 jump uniforms and ~1 tail uniform per draw
         gen = LevyGenerator(drift=0.1, atoms=((-0.01, 400.0),), tail=tail)
         got = sample_logW(gen, 20_000, seed=9)
         assert got.tobytes() == reference_sample_logW(gen, 20_000, 9).tobytes()
-
-    def test_counts_widened_after_the_first_row(self):
-        # total rate ~230: at seed 9 row 0's 16 counts fit in uint8 and row 1's do not
-        gen = LevyGenerator(drift=0.1, atoms=((-0.01, 220.0),), tail=CLASSIFY_TAIL)
-        rows = b"".join(row.tobytes() for row in _sample_rows(gen, 50, 16, 9))
-        assert rows == reference_sample_logW(gen, 800, 9).tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(gen=one_atom_generators(), count=st.integers(1, 5000),
@@ -570,6 +579,17 @@ class TestRandomStream:
     def test_one_atom_matches_reference(self, gen, count, seed):
         got = sample_logW(gen, count, seed)
         assert got.tobytes() == reference_sample_logW(gen, count, seed).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(x=st.floats(1e-3, 3.0), sign=st.sampled_from([-1.0, 1.0]), w=st.floats(1e-3, 40.0),
+           drift=st.floats(-1.0, 1.0), sigma2=st.sampled_from([0.0, 0.3]),
+           count=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1))
+    def test_two_half_atoms_draw_as_one_atom(self, x, sign, w, drift, sigma2, count, seed):
+        # the general path's bincount and the one-atom path's prefix sums add the same jumps
+        # left to right, on the counts of the same total rate
+        one = LevyGenerator(drift=drift, sigma2=sigma2, atoms=((sign * x, w),))
+        two = LevyGenerator(drift=drift, sigma2=sigma2, atoms=((sign * x, w / 2),) * 2)
+        assert sample_logW(two, count, seed).tobytes() == sample_logW(one, count, seed).tobytes()
 
     def test_pinned_canonical_law(self):
         got = sample_logW(SL_LP, 1_000_000, seed=7)
@@ -742,23 +762,6 @@ class TestNoNegativeZero:
             for out in (sample_logW(gen, 32, seed),
                         np.concatenate(list(_sample_rows(gen, 8, 4, seed)))):
                 assert not np.signbit(out[out == 0]).any()
-
-
-class TestAhead:
-    """_ahead(rng, n) starts where rng stands after n more doubles, wherever its buffer is."""
-
-    @pytest.mark.parametrize("start", range(4))
-    @pytest.mark.parametrize("n", [*range(10), 1003, 10**6 + 3])
-    def test_starts_n_draws_later(self, start, n):
-        rng = np.random.Generator(np.random.Philox(key=17))
-        rng.random(start)  # 0-3 doubles leave each position of Philox's 4-output buffer
-        cursor = _ahead(rng, n)
-        one = np.random.Generator(np.random.Philox(key=17))
-        one.random(start + n)
-        expected = one.random(11).tobytes()
-        assert cursor.random(11).tobytes() == expected
-        rng.random(n)  # and rng itself has not moved
-        assert rng.random(11).tobytes() == expected
 
 
 def guide_buckets(edges) -> int:
