@@ -764,6 +764,24 @@ class TestNoNegativeZero:
                 assert not np.signbit(out[out == 0]).any()
 
 
+class TestAhead:
+    """Each stream of _sample_rows goes on where the last row left it: after `start` rows of
+    n draws, row `start` reads each of its four streams from start*n draws later on."""
+
+    # atoms, a StableTail and a Gaussian part read all four streams, at ~0.5 jumps per draw
+    GEN = LevyGenerator(drift=0.05, sigma2=0.1, atoms=((-0.3, 0.2), (0.15, 0.1)),
+                        tail=StableTail(alpha=0.5, c=0.05, x_min=0.1, x_max=1.0))
+
+    @pytest.mark.parametrize("start", range(4))
+    @pytest.mark.parametrize("n", [*range(10), 1003, 10**6 + 3])
+    def test_starts_n_draws_later(self, start, n):
+        # 0-3 rows of 1003 draws leave each position of Philox's 4-output buffer, and a row
+        # of 10**6 + 3 draws crosses three block boundaries
+        *_, row = _sample_rows(self.GEN, start + 1, n, 17)
+        expected = reference_sample_logW(self.GEN, (start + 1) * n, 17)[start * n:]
+        assert row.tobytes() == expected.tobytes()
+
+
 def guide_buckets(edges) -> int:
     """The bucket count of _bucketed_pick for these edges."""
     return 1 << min(20, 6 + len(edges).bit_length())
