@@ -3,8 +3,13 @@
 The observable is the branch product Phi(r^n) = W_1 * ... * W_n, so that
 E[Phi^p] = (E[W^p])^n and ln S_p(r^n) is linear in n with slope
 zeta_p * ln r.  Structure-function averages are accumulated with
-log-sum-exp; standard errors come from a leave-one-out jackknife over
-the independent branch realizations.
+log-sum-exp.  Their errors come from a delete-a-group jackknife over
+_GROUPS contiguous groups of the independent branch realizations
+(Efron, "The Jackknife, the Bootstrap and Other Resampling Plans",
+SIAM 1982; Kott, J. Off. Stat. 17, 2001): every level is a cumulative
+sum of the same branches and every order is a power of the same
+samples, so the replicates carry the covariance of ln S over levels
+and orders into zeta_hat and delta_hat.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ __all__ = [
 ]
 
 _FMT = "%.17g"
+_GROUPS = 100  # delete-a-group jackknife groups per (p, n) cell
 
 
 def default_p_list(k: int) -> tuple:
@@ -66,18 +72,58 @@ def _check_stderr(se) -> None:
         raise ValueError(f"se: stderr entries must be finite and >= 0, got {se.tolist()}")
 
 
+def _check_cov(cov, se) -> np.ndarray:
+    """cov as a float array: a finite symmetric k x k matrix whose sqrt(diag) is se."""
+    try:
+        cov = np.array(cov, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError("cov: the covariance must be a numeric matrix") from None
+    k = len(se)
+    if cov.shape != (k, k):
+        raise ValueError(f"cov: expected a {k} x {k} covariance, got shape {cov.shape}")
+    if not np.isfinite(cov).all():
+        raise ValueError("cov: covariance entries must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):  # each failure is reported below
+        symmetric = np.allclose(cov, cov.T, rtol=1e-9, atol=0.0)
+        matches_se = np.allclose(np.sqrt(np.diagonal(cov)), se, rtol=1e-9, atol=0.0)
+    if not symmetric:
+        raise ValueError("cov: the covariance is not symmetric")
+    if not matches_se:
+        raise ValueError("cov: the square roots of the covariance diagonal are not se")
+    return cov
+
+
+def _jackknife_cov(reps: np.ndarray) -> np.ndarray:
+    """Delete-a-group covariance (G-1)/G * sum_g d_g d_g^T of the G rows d_g of reps - mean."""
+    g = len(reps)
+    d = reps - reps.mean(axis=0)
+    cov = (g - 1) / g * (d.T @ d)
+    return (cov + cov.T) / 2  # symmetric to the last bit
+
+
 @dataclass(frozen=True)
 class StructureTable:
-    """Rows of (p, n, ln_S, se) plus run metadata."""
+    """Rows of (p, n, ln_S, se) plus run metadata.
+
+    `replicates`, when given, holds one row of delete-a-group jackknife
+    replicates of ln_S per table row (zeros at p = 0).  simulate fills
+    it; it lives in memory only, so a table read from a CSV has none.
+    """
 
     p: np.ndarray
     n: np.ndarray
     ln_s: np.ndarray
     se: np.ndarray
     metadata: dict = field(default_factory=dict)
+    replicates: np.ndarray | None = None
 
     def __post_init__(self):
         _check_stderr(self.se)
+        if self.replicates is not None:
+            shape = np.shape(self.replicates)
+            if len(shape) != 2 or shape[0] != len(self.p) or shape[1] < 2:
+                raise ValueError(f"replicates: expected {len(self.p)} rows of >= 2 replicates, "
+                                 f"got shape {shape}")
 
     def rows_for(self, p: float):
         sel = self.p == p
@@ -96,15 +142,26 @@ class StructureTable:
 
 @dataclass(frozen=True)
 class ZetaEstimate:
-    """Estimated scaling exponents (p, zeta_hat, se)."""
+    """Estimated scaling exponents (p, zeta_hat, se).
+
+    `cov`, when given, is the covariance of zeta_hat over the orders
+    (sqrt of its diagonal is se).  A CSV carries it under "cov" in its
+    JSON comment line; without it, estimate_deltas treats the orders as
+    independent.
+    """
 
     p: np.ndarray
     zeta_hat: np.ndarray
     se: np.ndarray
     metadata: dict = field(default_factory=dict)
+    cov: np.ndarray | None = None
 
     def __post_init__(self):
         _check_stderr(self.se)
+        if isinstance(self.metadata, dict) and "cov" in self.metadata:
+            raise ValueError("metadata: the key 'cov' is reserved for the covariance")
+        if self.cov is not None:
+            object.__setattr__(self, "cov", _check_cov(self.cov, self.se))
 
     def value(self, p: float) -> tuple:
         idx = np.nonzero(self.p == p)[0]
@@ -115,13 +172,15 @@ class ZetaEstimate:
 
     def to_csv(self, path) -> None:
         rows = zip(self.p, self.zeta_hat, self.se)
-        write_csv(path, self.metadata, ("p", "zeta_hat", "se"), rows)
+        meta = self.metadata if self.cov is None else {**self.metadata, "cov": self.cov.tolist()}
+        write_csv(path, meta, ("p", "zeta_hat", "se"), rows)
 
     @classmethod
     def from_csv(cls, path) -> "ZetaEstimate":
         meta, rows = _read_csv(path, ("p", "zeta_hat", "se"), cell=float)
         arr = np.asarray(rows, dtype=float)
-        return cls(p=arr[:, 0], zeta_hat=arr[:, 1], se=arr[:, 2], metadata=meta)
+        cov = meta.pop("cov", None) if isinstance(meta, dict) else None
+        return cls(p=arr[:, 0], zeta_hat=arr[:, 1], se=arr[:, 2], metadata=meta, cov=cov)
 
 
 def _cell(v) -> str:
@@ -185,29 +244,34 @@ def _read_csv(path, expected_header, cell=_uncell):
 
 
 def _ln_mean_and_jackknife(z: np.ndarray) -> tuple:
-    """ln mean(exp(z)) and its leave-one-out jackknife standard error.
+    """ln mean(exp(z)) and its _GROUPS delete-a-group jackknife replicates.
 
-    z is the scratch buffer: every step runs in place in it, so a call
-    allocates no array and leaves z overwritten.
+    Group g is the slice z[s_g:s_(g+1)] with s_g = g * N // _GROUPS, and
+    its replicate is the ln-mean without it, m + ln((total - S_g)/(N - n_g))
+    from the group sums S_g of exp(z - m), with total - S_g floored at
+    1e-300 when the group holds all of the sum; so no log over N is taken.
+    Needs len(z) >= _GROUPS.  z is the scratch buffer: every step over N
+    runs in place in it, so a call allocates only the replicates and
+    leaves z overwritten.
     """
     ns = len(z)
     m = z.max()
     x = np.exp(np.subtract(z, m, out=z), out=z)
     total = x.sum()
     ln_s = m + math.log(total / ns)
-    # theta_(-j) = ln((total - x_j)/(ns-1)) + m
-    loo = np.log(np.maximum(np.subtract(total, x, out=x), 1e-300, out=x), out=x)
-    loo -= math.log(ns - 1)
-    loo += m
-    loo -= loo.mean()
-    se = math.sqrt((ns - 1) / ns * float(np.square(loo, out=loo).sum()))
-    return ln_s, se
+    starts = np.arange(_GROUPS) * ns // _GROUPS
+    rest = np.maximum(total - np.add.reduceat(x, starts), 1e-300)
+    rest /= ns - np.diff(starts, append=ns)
+    return ln_s, m + np.log(rest)
 
 
 def simulate(config: SimConfig, gen) -> StructureTable:
     """Structure-function table ln S_p(r^n) for n = 1..n_levels.
 
-    Deterministic given the seed; the p = 0 rows are exactly zero.
+    Deterministic given the seed; the p = 0 rows are exactly zero.  Each
+    (p, n) cell also gets _GROUPS delete-a-group jackknife replicates of
+    ln S_p over contiguous groups of samples (the table's `replicates`,
+    zeros at p = 0); its se is their jackknife standard error.
 
     A two-stage pipeline: this thread draws level n+1 of log Phi while
     one worker thread runs level n's jackknife cells, every order p != 0
@@ -225,13 +289,17 @@ def simulate(config: SimConfig, gen) -> StructureTable:
     nl, ns = config.n_levels, config.n_samples
     z = np.empty(ns)  # the worker's scratch buffer, refilled for every (p, n)
 
-    def cells(level):  # (ln_S, se) per order of one level, in the worker
+    def cells(level):  # ln_S, se and replicates per order of one level, in the worker
         with np.errstate(over="ignore", invalid="ignore"):  # reported as OverflowError below
-            out = [(0.0, 0.0) if p == 0.0 else _ln_mean_and_jackknife(np.multiply(p, level, out=z))
-                   for p in config.p_list]
-        if not np.isfinite(out).all():
+            ln_s, reps = zip(*[(0.0, np.zeros(_GROUPS)) if p == 0.0
+                               else _ln_mean_and_jackknife(np.multiply(p, level, out=z))
+                               for p in config.p_list])
+            reps = np.array(reps)
+            dev = reps - reps.mean(axis=1, keepdims=True)
+            se = np.sqrt((_GROUPS - 1) / _GROUPS * np.square(dev).sum(axis=1))
+        if not (np.isfinite(ln_s).all() and np.isfinite(se).all()):
             raise OverflowError("ln S_p or its jackknife error is not finite: log W is too large")
-        return out
+        return np.array(ln_s), se, reps
 
     futures = []
     with ThreadPoolExecutor(max_workers=1) as worker:
@@ -245,8 +313,8 @@ def simulate(config: SimConfig, gen) -> StructureTable:
             if len(futures) >= 2:
                 futures[-2].result()  # level n-2 is done before level n is queued
             futures.append(worker.submit(cells, branch))
-        # levels x orders x (ln_S, se) -> p-major rows
-        ln_s, se = np.array([f.result() for f in futures]).transpose(2, 1, 0).reshape(2, -1)
+        # per level, orders first -> orders x levels (x groups), p-major rows
+        ln_s, se, reps = (np.stack(part, axis=1) for part in zip(*(f.result() for f in futures)))
     meta = {
         "r": config.params.r,
         "k": config.params.k,
@@ -257,53 +325,74 @@ def simulate(config: SimConfig, gen) -> StructureTable:
     }
     return StructureTable(
         p=np.repeat(config.p_list, nl), n=np.tile(np.arange(1, nl + 1), len(config.p_list)),
-        ln_s=ln_s, se=se, metadata=meta,
+        ln_s=ln_s.ravel(), se=se.ravel(), metadata=meta, replicates=reps.reshape(-1, _GROUPS),
     )
 
 
 def estimate_zeta(table: StructureTable) -> ZetaEstimate:
     """OLS slope of ln S_p against n*ln r, per moment order.
 
-    The slope standard error is propagated from the per-level jackknife
-    errors.  zeta_hat at p = 0 is forced to zero.  Orders with fewer
-    than 3 valid levels are omitted with a warning in the metadata.
+    zeta_hat at p = 0 is forced to zero.  Orders with fewer than 3 valid
+    levels are omitted with a warning in the metadata.  With the table's
+    jackknife replicates, the same OLS coefficients map each replicate
+    to a zeta_hat replicate, and their delete-a-group covariance over
+    the orders is the estimate's `cov` (se = sqrt of its diagonal); it
+    raises OverflowError if that covariance is not finite.  A table
+    without replicates (one read from a CSV) propagates the per-level
+    errors as if levels were independent, and its estimate has no cov.
     """
     r = table.metadata.get("r")
     if r is None or not (0.0 < r < 1.0):
         raise ValueError("structure table metadata must carry the scale ratio r")
     ln_r = math.log(r)
 
-    ps, zs, ses, skipped = [], [], [], []
+    reps = table.replicates
+    ps, zs, ses, zreps, skipped = [], [], [], [], []
     for p in sorted(set(table.p.tolist())):
-        n, y, se = table.rows_for(p)
-        ok = np.isfinite(y)
-        n, y, se = n[ok], y[ok], se[ok]
+        rows = np.flatnonzero((table.p == p) & np.isfinite(table.ln_s))
         if p == 0.0:
             ps.append(0.0)
             zs.append(0.0)
             ses.append(0.0)
+            if reps is not None:
+                zreps.append(np.zeros(reps.shape[1]))
             continue
-        if len(n) < 3:
+        if len(rows) < 3:
             skipped.append(p)
             continue
-        x = n.astype(float) * ln_r
+        x = table.n[rows].astype(float) * ln_r
         xm = x.mean()
         denom = float(((x - xm) ** 2).sum())
         coef = (x - xm) / denom
-        slope = float(coef @ y)
-        slope_se = math.sqrt(float((coef**2) @ (se**2)))
         ps.append(p)
-        zs.append(slope)
-        ses.append(slope_se)
+        zs.append(float(coef @ table.ln_s[rows]))
+        if reps is None:
+            ses.append(math.sqrt(float((coef**2) @ (table.se[rows] ** 2))))
+        else:
+            zreps.append(coef @ reps[rows])
 
+    cov = None
+    if reps is not None:
+        with np.errstate(over="ignore", invalid="ignore"):  # reported as OverflowError below
+            cov = _jackknife_cov(np.column_stack(zreps))
+            ses = np.sqrt(np.diagonal(cov))
+        if not np.isfinite(cov).all():
+            raise OverflowError("the jackknife covariance of zeta_hat is not finite")
     meta = dict(table.metadata)
     if skipped:
         meta["skipped_orders"] = skipped
-    return ZetaEstimate(p=np.array(ps), zeta_hat=np.array(zs), se=np.array(ses), metadata=meta)
+    return ZetaEstimate(p=np.array(ps), zeta_hat=np.array(zs), se=np.array(ses), metadata=meta,
+                        cov=cov)
 
 
 def estimate_deltas(zeta: ZetaEstimate, k: int) -> DeltaSeries:
-    """Incremental exponents delta_{mk} = zeta_{(m+1)k} - zeta_{mk} with errors."""
+    """Incremental exponents delta_{mk} = zeta_{(m+1)k} - zeta_{mk} with errors.
+
+    With the estimate's covariance V the errors are sqrt(diag(D V D^T)),
+    D the first difference over the orders 0, k, 2k, ...; without it
+    (an estimate read from a CSV with no "cov") the two orders' errors
+    are added in quadrature, as if they were independent.
+    """
     if k < 1:
         raise ValueError(f"hierarchy step k must be >= 1, got {k}")
     orders, first = np.unique(zeta.p, return_index=True)
@@ -314,6 +403,13 @@ def estimate_deltas(zeta: ZetaEstimate, k: int) -> DeltaSeries:
     if len(rows) < 3:
         missing = [float(m * k) for m in range(3) if m * k not in row]
         raise ValueError(f"zeta estimate is missing orders {missing}")
-    e = zeta.se[rows].tolist()
+    if zeta.cov is None:
+        e = zeta.se[rows].tolist()
+        stderr = [math.hypot(e0, e1) for e0, e1 in zip(e, e[1:])]
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):  # DeltaSeries rejects inf and nan
+            dvd = np.diff(np.diff(zeta.cov[np.ix_(rows, rows)], axis=0), axis=1)
+            # rounding can leave a variance a few ulps below zero
+            stderr = np.sqrt(np.maximum(np.diagonal(dvd), 0.0))
     return DeltaSeries(k=k, m=range(len(rows) - 1), delta=np.diff(zeta.zeta_hat[rows]),
-                       stderr=[math.hypot(e0, e1) for e0, e1 in zip(e, e[1:])])
+                       stderr=stderr)

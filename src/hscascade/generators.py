@@ -290,24 +290,23 @@ def _blocks(n: int):
 
 
 def _jump_blocks(nj: np.ndarray):
-    """(start, stop, jumps) of consecutive slices of the counts nj, cut at whole samples.
+    """(start, stop, jumps) of consecutive slices of one block of counts nj, cut at whole samples.
 
-    Each slice holds at most _BLOCK samples and at most _BLOCK jumps,
-    except that a sample with more jumps than _BLOCK is a slice of its own.
+    Each slice holds at most _BLOCK jumps, except that a sample with more
+    jumps than _BLOCK is a slice of its own.
     """
-    for s, e in _blocks(len(nj)):
-        total = int(nj[s:e].sum())
-        if total <= _BLOCK:
-            yield s, e, total
-            continue
-        ends = np.cumsum(nj[s:e], dtype=np.int64)  # jumps up to and including each sample
-        cuts, a, done = [], 0, 0
-        while a < e - s:
-            b = max(int(np.searchsorted(ends, done + _BLOCK, side="right")), a + 1)
-            cuts.append((s + a, s + b, int(ends[b - 1]) - done))
-            a, done = b, int(ends[b - 1])
-        del ends  # before the blocks allocate
-        yield from cuts
+    total = int(nj.sum())
+    if total <= _BLOCK:
+        yield 0, len(nj), total
+        return
+    ends = np.cumsum(nj, dtype=np.int64)  # jumps up to and including each sample
+    cuts, a, done = [], 0, 0
+    while a < len(nj):
+        b = max(int(np.searchsorted(ends, done + _BLOCK, side="right")), a + 1)
+        cuts.append((a, b, int(ends[b - 1]) - done))
+        a, done = b, int(ends[b - 1])
+    del ends  # before the blocks allocate
+    yield from cuts
 
 
 def _sample_rows(gen, rows: int, cols: int, seed: int):

@@ -1,6 +1,8 @@
 import io
 import json
 import math
+import re
+from dataclasses import replace
 import sys
 import threading
 import tracemalloc
@@ -35,6 +37,7 @@ from hscascade.generators import (
 )
 from hscascade.hausdorff import empirical_w1_multipliers, smear_perturbation
 from hscascade.spectrum import SpectrumCurve
+from hscascade.symmetry import classify
 from test_generators import SMALL_BLOCKS, block_laws, reference_sample_logW
 
 SL = ScalingLaw(gamma=1.0 / 9.0, big_c=2.0, beta=2.0 / 3.0, k=3)
@@ -113,28 +116,47 @@ class TestSimulate:
 
 
 def reference_ln_mean_and_jackknife(z):
-    """The jackknife before its scratch buffer: the same steps, each on a fresh array."""
-    ns = len(z)
+    """The delete-a-group cell without its scratch buffer: each step on a fresh array, and each
+    group an explicit slice, summed in the order np.add.reduceat sums one (its first element
+    plus the pairwise sum of the rest)."""
+    ns, groups = len(z), cascade._GROUPS
     m = z.max()
     x = np.exp(z - m)
     total = x.sum()
     ln_s = m + math.log(total / ns)
-    loo = np.log(np.maximum(total - x, 1e-300)) - math.log(ns - 1) + m
-    se = math.sqrt((ns - 1) / ns * float(((loo - loo.mean()) ** 2).sum()))
-    return ln_s, se
+    cut = [g * ns // groups for g in range(groups + 1)]
+    sums = np.array([x[a] + x[a + 1:b].sum() for a, b in zip(cut, cut[1:])])
+    sizes = np.array([b - a for a, b in zip(cut, cut[1:])])
+    return ln_s, m + np.log(np.maximum(total - sums, 1e-300) / (ns - sizes))
+
+
+def reference_se(reps):
+    """The delete-a-group jackknife error of one cell's replicates."""
+    g = len(reps)
+    return np.sqrt((g - 1) / g * ((reps - reps.mean()) ** 2).sum())
 
 
 def reference_simulate(config, gen, sample=sample_logW):
-    """simulate before the pipeline: one `sample` call, np.cumsum over levels, serial cells."""
+    """simulate before the pipeline: one `sample` call, np.cumsum over levels, serial cells.
+
+    Returns ln_S, se and the replicates, in the table's p-major row order."""
     nl, ns = config.n_levels, config.n_samples
     branch = np.cumsum(sample(gen, nl * ns, config.seed).reshape(nl, ns), axis=0)
     z = np.empty(ns)
-    ln_s, se = np.array([
-        (0.0, 0.0) if p == 0.0 else _ln_mean_and_jackknife(np.multiply(p, level, out=z))
+    ln_s, reps = zip(*[
+        (0.0, np.zeros(cascade._GROUPS)) if p == 0.0
+        else _ln_mean_and_jackknife(np.multiply(p, level, out=z))
         for p in config.p_list
         for level in branch
-    ]).T
-    return ln_s, se
+    ])
+    return np.array(ln_s), np.array([reference_se(r) for r in reps]), np.array(reps)
+
+
+def assert_same_table(table, reference):
+    ln_s, se, reps = reference
+    assert table.ln_s.tobytes() == ln_s.tobytes()
+    assert table.se.tobytes() == se.tobytes()
+    assert table.replicates.tobytes() == reps.tobytes()
 
 
 @st.composite
@@ -155,20 +177,39 @@ def cascade_generators(draw):
 
 
 class TestJackknife:
-    """The in-place jackknife returns the allocating one's floats exactly."""
+    """The in-place delete-a-group cell returns the fresh-array reference's floats exactly."""
 
     @settings(max_examples=200, deadline=None)
-    @given(z=hnp.arrays(float, st.integers(2, 2000), elements=st.floats(-700.0, 700.0)))
+    @given(z=hnp.arrays(float, st.integers(cascade._GROUPS, 3000),
+                        elements=st.floats(-700.0, 700.0)))
     def test_matches_reference(self, z):
-        assert _ln_mean_and_jackknife(z.copy()) == reference_ln_mean_and_jackknife(z)
+        ln_s, reps = _ln_mean_and_jackknife(z.copy())
+        want_ln_s, want_reps = reference_ln_mean_and_jackknife(z)
+        assert ln_s == want_ln_s
+        assert reps.tobytes() == want_reps.tobytes()
 
     def test_dominated_sample_hits_the_clamp(self):
-        # without the largest sample the sum underflows to 0 and is clamped at 1e-300
+        # without group 1 (samples 10-19), which holds the largest sample, the sum underflows
+        # to 0 and is clamped at 1e-300
         z = np.full(1000, -700.0)
         z[17] = 700.0
-        expected = reference_ln_mean_and_jackknife(z)
-        assert _ln_mean_and_jackknife(z.copy()) == expected
-        assert expected[1] > 10.0
+        ln_s, reps = _ln_mean_and_jackknife(z.copy())
+        want_ln_s, want_reps = reference_ln_mean_and_jackknife(z)
+        assert ln_s == want_ln_s and reps.tobytes() == want_reps.tobytes()
+        assert reps[1] == 700.0 + np.log(1e-300 / 990)
+        assert np.allclose(np.delete(reps, 1), 700.0 - math.log(990), rtol=1e-15, atol=0.0)
+        assert reference_se(reps) > 10.0
+
+    def test_groups_cut_at_g_n_over_groups(self):
+        # n = 150 makes 100 groups of 1 or 2 samples: group g starts at 3g // 2, so groups 0,
+        # 1 and 2 hold samples {0}, {1, 2} and {3}; exp(z) is 3 and 5 at samples 1 and 2, so
+        # the 150 samples sum to 156
+        z = np.zeros(150)
+        z[1], z[2] = math.log(3.0), math.log(5.0)
+        _, reps = _ln_mean_and_jackknife(z)
+        assert reps[0] == pytest.approx(math.log(155 / 149), rel=1e-12)
+        assert reps[1] == pytest.approx(0.0, abs=1e-15)
+        assert reps[2] == pytest.approx(math.log(155 / 149), rel=1e-12)
 
 
 class TestPipeline:
@@ -181,10 +222,7 @@ class TestPipeline:
     def test_matches_reference(self, gen, n_levels, n_samples, seed, p_list):
         cfg = SimConfig(params=CascadeParams(r=0.5, k=3), n_levels=n_levels,
                         n_samples=n_samples, seed=seed, p_list=p_list)
-        table = simulate(cfg, gen)
-        ln_s, se = reference_simulate(cfg, gen)
-        assert table.ln_s.tobytes() == ln_s.tobytes()
-        assert table.se.tobytes() == se.tobytes()
+        assert_same_table(simulate(cfg, gen), reference_simulate(cfg, gen))
 
     @settings(max_examples=40, deadline=None)
     @given(gen=block_laws(), n_levels=st.integers(2, 4), n_samples=st.integers(100, 400),
@@ -192,27 +230,23 @@ class TestPipeline:
     def test_matches_reference_in_small_blocks(self, gen, n_levels, n_samples, block, seed):
         cfg = SimConfig(params=CascadeParams(r=0.5, k=3), n_levels=n_levels,
                         n_samples=n_samples, seed=seed)
-        ln_s, se = reference_simulate(cfg, gen, reference_sample_logW)
+        reference = reference_simulate(cfg, gen, reference_sample_logW)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(gens_module, "_BLOCK", block)
             table = simulate(cfg, gen)
-        assert table.ln_s.tobytes() == ln_s.tobytes()
-        assert table.se.tobytes() == se.tobytes()
+        assert_same_table(table, reference)
 
     def test_matches_reference_across_a_block(self):
         cfg = SimConfig(params=CascadeParams(r=0.5, k=3), n_levels=2,
                         n_samples=gens_module._BLOCK + 1, seed=5)
         gen = LevyGenerator(drift=0.1, sigma2=0.2, atoms=((-0.3, 1.0), (0.1, 0.4)))
-        table = simulate(cfg, gen)
-        ln_s, se = reference_simulate(cfg, gen, reference_sample_logW)
-        assert table.ln_s.tobytes() == ln_s.tobytes()
-        assert table.se.tobytes() == se.tobytes()
+        assert_same_table(simulate(cfg, gen), reference_simulate(cfg, gen, reference_sample_logW))
 
     def test_matches_reference_under_fast_thread_switching(self):
         # both threads read the levels; a switch every microsecond would expose
         # any write to an array the other thread still reads
         cfg = SimConfig(params=CascadeParams(r=0.5, k=3), n_levels=6, n_samples=20_000, seed=0)
-        ln_s, se = reference_simulate(cfg, SL_LP)
+        reference = reference_simulate(cfg, SL_LP)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -220,7 +254,7 @@ class TestPipeline:
         finally:
             sys.setswitchinterval(interval)
         for table in tables:
-            assert table.ln_s.tobytes() == ln_s.tobytes() and table.se.tobytes() == se.tobytes()
+            assert_same_table(table, reference)
 
     def test_worker_error_is_raised_and_the_thread_ends(self, monkeypatch):
         calls = []
@@ -393,6 +427,47 @@ class TestEstimateZeta:
             StructureTable.from_csv(io.StringIO(text))
 
 
+    def test_group_covariance_from_replicates(self):
+        # each zeta_hat replicate is the OLS slope of that replicate's ln_S over the levels,
+        # and the covariance of the replicates over orders is the delete-a-group one
+        cfg = SimConfig(params=CascadeParams(r=0.5, k=3), n_levels=5, n_samples=2000, seed=8,
+                        p_list=(0.0, 1.0, 3.0, 6.0))
+        table = simulate(cfg, SL_LP)
+        z = estimate_zeta(table)
+        x = np.arange(1, 6) * LN_HALF
+        coef = (x - x.mean()) / ((x - x.mean()) ** 2).sum()
+        reps = np.array([coef @ table.replicates[table.p == p] for p in z.p])
+        dev = reps - reps.mean(axis=1, keepdims=True)
+        groups = table.replicates.shape[1]
+        assert groups == 100
+        np.testing.assert_allclose(z.cov, (groups - 1) / groups * dev @ dev.T,
+                                   rtol=1e-12, atol=1e-300)
+        assert z.se.tobytes() == np.sqrt(np.diagonal(z.cov)).tobytes()
+        assert z.cov[0].tolist() == [0.0] * 4 and z.se[0] == 0.0
+        # the slopes are those of the diagonal path: only the errors change
+        diagonal = estimate_zeta(StructureTable(p=table.p, n=table.n, ln_s=table.ln_s,
+                                                se=table.se, metadata=table.metadata))
+        assert diagonal.cov is None
+        assert diagonal.zeta_hat.tobytes() == z.zeta_hat.tobytes()
+        assert not np.array_equal(diagonal.se, z.se)
+
+    def test_replicates_shape_checked(self):
+        table = exact_table(SL, 0.5, 3, (0.0, 3.0))
+        with pytest.raises(ValueError, match="replicates: expected 6 rows"):
+            StructureTable(p=table.p, n=table.n, ln_s=table.ln_s, se=table.se,
+                           metadata=table.metadata, replicates=np.zeros((5, 100)))
+
+    def test_overflowing_covariance_raises(self):
+        # finite ln_S replicates whose deviations square past the largest float
+        table = exact_table(SL, 0.5, 3, (0.0, 3.0))
+        reps = np.zeros((6, 100))
+        reps[3:, ::2] = 1e200
+        big = StructureTable(p=table.p, n=table.n, ln_s=table.ln_s, se=table.se,
+                             metadata=table.metadata, replicates=reps)
+        with pytest.raises(OverflowError, match="covariance of zeta_hat is not finite"):
+            estimate_zeta(big)
+
+
 class TestEstimateDeltas:
     def test_exact_values(self):
         table = exact_table(SL, 0.5, 8, (0.0, 3.0, 6.0, 9.0))
@@ -435,10 +510,63 @@ class TestEstimateDeltas:
         assert series.delta == (1.0, 2.0)
         assert series.stderr == (0.3, math.hypot(0.3, 0.4))
 
+    def test_errors_from_the_covariance(self):
+        # se of delta_m = zeta_{m+1} - zeta_m is sqrt(V_mm + V_(m+1)(m+1) - 2 V_m(m+1))
+        cov = np.array([[0.0, 0.0, 0.0, 0.0],
+                        [0.0, 0.04, 0.05, 0.0],
+                        [0.0, 0.05, 0.09, 0.1],
+                        [0.0, 0.0, 0.1, 0.16]])
+        z = ZetaEstimate(p=np.array([0.0, 3.0, 6.0, 9.0]), zeta_hat=np.array([0.0, 1.0, 1.8, 2.4]),
+                         se=np.sqrt(np.diagonal(cov)), cov=cov)
+        series = estimate_deltas(z, 3)
+        assert series.stderr == pytest.approx((0.2, math.sqrt(0.03), math.sqrt(0.05)), rel=1e-12)
+        independent = estimate_deltas(replace(z, cov=None), 3)
+        assert independent.stderr == pytest.approx((0.2, math.sqrt(0.13), 0.5), rel=1e-12)
+
+    def test_covariance_rows_follow_the_orders(self):
+        # unsorted rows and an order past the run: D V D^T is taken over rows 0, k, 2k
+        cov = np.diag([0.25, 0.0, 0.09, 0.16])
+        cov[2, 3] = cov[3, 2] = 0.06
+        z = ZetaEstimate(p=np.array([6.0, 0.0, 12.0, 3.0]), zeta_hat=np.array([3.0, 0.0, 9.0, 1.0]),
+                         se=np.sqrt(np.diagonal(cov)), cov=cov)
+        series = estimate_deltas(z, 3)
+        assert series.stderr == pytest.approx((0.4, math.sqrt(0.16 + 0.25)), rel=1e-12)
+
     def test_simulated_delta0(self):
         cfg = SimConfig(params=CascadeParams(r=0.5, k=3), n_levels=8, n_samples=100_000, seed=6)
         series = estimate_deltas(estimate_zeta(simulate(cfg, SL_LP)), 3)
         assert abs(series.delta[0] - 1.0) < 4 * series.stderr[0]
+
+
+class TestCalibration:
+    """The group errors are calibrated, and classify calls the canonical law log-Poisson."""
+
+    def test_group_errors_are_calibrated(self):
+        # z = (estimate - exact) / se over 200 seeds at 8 x 5000: sd(z) ~ 1 for the orders below
+        # the critical one (0.95, 0.94, 0.96 and 0.94; 1.15, 1.21, 1.30 and 1.21 with per-cell
+        # leave-one-out errors taken as independent over levels and orders)
+        z = {p: [] for p in (1.0, 3.0, 6.0)} | {"delta0": []}
+        for seed in range(200):
+            cfg = SimConfig(params=CascadeParams(r=0.5, k=3), n_levels=8, n_samples=5000,
+                            seed=seed)
+            zhat = estimate_zeta(simulate(cfg, SL_LP))
+            for p in (1.0, 3.0, 6.0):
+                value, se = zhat.value(p)
+                z[p].append((value - zeta(SL, p)) / se)
+            series = estimate_deltas(zhat, 3)
+            z["delta0"].append((series.delta[0] - delta(SL, 0.0)) / series.stderr[0])
+        for name, values in z.items():
+            assert 0.8 <= np.std(values, ddof=1) <= 1.1, name
+            assert abs(np.mean(values)) <= 0.2, name
+
+    def test_classify_canonical_runs(self):
+        # 8 x 20k: 40/40 a1-holds (34/40, six affine-divergent, with independent errors)
+        verdicts = []
+        for seed in range(40):
+            cfg = SimConfig(params=CascadeParams(r=0.5, k=3), n_levels=8, n_samples=20_000,
+                            seed=seed)
+            verdicts.append(classify(estimate_deltas(estimate_zeta(simulate(cfg, SL_LP)), 3)).verdict)
+        assert verdicts.count("a1-holds") >= 39, verdicts
 
 
 class TestCsvRoundTrip:
@@ -460,6 +588,44 @@ class TestCsvRoundTrip:
         z.to_csv(path)
         back = ZetaEstimate.from_csv(path)
         assert np.array_equal(back.zeta_hat, z.zeta_hat)
+
+    def test_zeta_estimate_covariance(self):
+        cfg = SimConfig(params=CascadeParams(r=0.5, k=3), n_levels=4, n_samples=1000, seed=9)
+        z = estimate_zeta(simulate(cfg, SL_LP))
+        stream = round_trip(z.to_csv)
+        assert json.loads(stream.readline()[1:])["cov"] == z.cov.tolist()
+        stream.seek(0)
+        back = ZetaEstimate.from_csv(stream)
+        assert back.cov.tobytes() == z.cov.tobytes()
+        assert back.se.tobytes() == z.se.tobytes()
+        assert back.metadata == z.metadata and "cov" not in back.metadata
+
+    @pytest.mark.parametrize("cov, message", [
+        ([[0.0, 0.0], [0.0, 0.01]], "expected a 3 x 3 covariance, got shape (2, 2)"),
+        ([0.0, 0.01, 0.04], "expected a 3 x 3 covariance, got shape (3,)"),
+        ([[0.0, 0.0, 0.0], [0.0, 1e-4, math.nan], [0.0, math.nan, 4e-4]], "must be finite"),
+        ([[0.0, 0.0, 0.0], [0.0, 1e-4, math.inf], [0.0, math.inf, 4e-4]], "must be finite"),
+        ([[0.0, 0.0, 0.0], [0.0, 1e-4, 1e-4], [0.0, 2e-4, 4e-4]], "not symmetric"),
+        ([[0.0, 0.0, 0.0], [0.0, 1e-4, 0.0], [0.0, 0.0, 9e-4]], "diagonal are not se"),
+        ([[0.0, 0.0, 0.0], [0.0, -1e-4, 0.0], [0.0, 0.0, 4e-4]], "diagonal are not se"),
+        ([[0.0, 0.0, "x"], [0.0, 1e-4, 0.0], [0.0, 0.0, 4e-4]], "must be a numeric matrix"),
+        ([[0.0, 0.0], [0.0, 1e-4, 0.0], [0.0, 0.0, 4e-4]], "must be a numeric matrix"),
+        ({"a": 1}, "must be a numeric matrix"),
+    ])
+    def test_rejects_bad_covariance(self, cov, message):
+        # se 0, 0.01 and 0.02 at orders 0, 3 and 6
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ZetaEstimate(p=np.array([0.0, 3.0, 6.0]), zeta_hat=np.array([0.0, 1.0, 1.77]),
+                         se=np.array([0.0, 0.01, 0.02]), cov=cov)
+        text = (f"# {json.dumps({'cov': cov})}\np,zeta_hat,se\n0,0,0\n3,1.0,0.01\n"
+                f"6,1.77,0.02\n")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ZetaEstimate.from_csv(io.StringIO(text))
+
+    def test_cov_key_reserved_in_metadata(self):
+        with pytest.raises(ValueError, match="'cov' is reserved"):
+            ZetaEstimate(p=np.array([0.0]), zeta_hat=np.array([0.0]), se=np.array([0.0]),
+                         metadata={"cov": [[0.0]]})
 
     def test_external_csv_ingestion(self):
         text = "# {}\np,zeta_hat,se\n0,0,0\n3,1.0,0.01\n6,1.77,0.02\n9,2.4,0.05\n"
@@ -545,17 +711,29 @@ class TestCsvRoundTripProperties:
         assert json.dumps(back.metadata) == json.dumps(meta)
 
     @settings(max_examples=60, deadline=None)
-    @given(n_rows=st.integers(1, 20), data=st.data(), meta=METADATA)
-    def test_zeta_estimate(self, n_rows, data, meta):
+    @given(n_rows=st.integers(1, 20), data=st.data(),
+           meta=METADATA.map(lambda m: {k: v for k, v in m.items() if k != "cov"}),
+           with_cov=st.booleans())
+    def test_zeta_estimate(self, n_rows, data, meta, with_cov):
         column = hnp.arrays(float, n_rows, elements=FLOATS)
         # ZetaEstimate rejects a negative se; -0.0 and subnormals are still drawn
         errors = hnp.arrays(float, n_rows, elements=st.floats(min_value=-0.0, allow_infinity=False,
                                                               allow_subnormal=True))
-        z = ZetaEstimate(p=data.draw(column), zeta_hat=data.draw(column), se=data.draw(errors),
-                         metadata=meta)
+        se, cov = data.draw(errors), None
+        if with_cov:  # any finite symmetric matrix, se the square roots of its diagonal
+            upper = data.draw(hnp.arrays(float, (n_rows, n_rows), elements=FLOATS))
+            cov = np.where(np.tri(n_rows, k=-1, dtype=bool), upper.T, upper)
+            np.fill_diagonal(cov, se)
+            se = np.sqrt(cov.diagonal())
+        z = ZetaEstimate(p=data.draw(column), zeta_hat=data.draw(column), se=se, metadata=meta,
+                         cov=cov)
         back = ZetaEstimate.from_csv(round_trip(z.to_csv))
         for name in ("p", "zeta_hat", "se"):
             assert getattr(back, name).tobytes() == getattr(z, name).tobytes()
+        if with_cov:
+            assert back.cov.dtype == z.cov.dtype and back.cov.tobytes() == z.cov.tobytes()
+        else:
+            assert back.cov is None
         assert json.dumps(back.metadata) == json.dumps(meta)
 
     @settings(max_examples=60, deadline=None)

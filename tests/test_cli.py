@@ -2,11 +2,15 @@ import contextlib
 import io
 import json
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from hscascade import cascade, symmetry
 from hscascade.cli import eps_grid, main, real
+from hscascade.exponents import CascadeParams, ScalingLaw
+from hscascade.generators import logpoisson_from_scaling
 from test_readme import readme_commands
 
 
@@ -105,6 +109,10 @@ class TestUsageErrors:
 # a zeta-estimate CSV of the canonical law's orders 0, 3, ..., 18
 ZETA_CSV = ("# {}\np,zeta_hat,se\n0,0,0\n3,1,0.01\n6,1.5,0.02\n9,1.8,0.02\n12,2,0.03\n"
             "15,2.15,0.03\n18,2.25,0.04\n")
+# a covariance whose diagonal is ZETA_CSV's se squared, and adjacent orders correlated 0.5
+COV = np.diag(np.array([0.0, 0.01, 0.02, 0.02, 0.03, 0.03, 0.04]) ** 2)
+COV += np.diag(0.5 * np.sqrt(np.diagonal(COV)[1:] * np.diagonal(COV)[:-1]), 1)
+COV = np.triu(COV) + np.triu(COV, 1).T
 
 
 class TestOutOfRangeParameters:
@@ -160,6 +168,29 @@ class TestSimulateAnalyze:
         assert doc["verdict"] == "a1-holds"
         assert abs(doc["logpoisson"]["lambda"] - 1.386294) < 0.3
 
+    def test_analyze_csv_matches_the_in_memory_chain(self, tmp_path, capsys):
+        # zeta.csv carries zeta_hat, se and the covariance exactly, so analyze reports
+        # what estimate_zeta -> estimate_deltas -> classify/characterize report in memory
+        zcsv = tmp_path / "zeta.csv"
+        code, _, _ = run(
+            capsys, "simulate", "--beta", "2/3", "--bigC", "2", "--gamma", "1/9", "--k", "3",
+            "--r", "0.5", "--levels", "8", "--samples", "20000", "--seed", "12",
+            "--out-structure", str(tmp_path / "structure.csv"), "--out-zeta", str(zcsv),
+        )
+        assert code == 0
+        code, out, _ = run(capsys, "analyze", str(zcsv), "--k", "3", "--r", "0.5")
+        assert code == 0
+
+        law = ScalingLaw(gamma=1.0 / 9.0, big_c=2.0, beta=2.0 / 3.0, k=3)
+        cfg = cascade.SimConfig(params=CascadeParams(r=0.5, k=3), n_levels=8, n_samples=20_000,
+                                seed=12)
+        zhat = cascade.estimate_zeta(cascade.simulate(cfg, logpoisson_from_scaling(law, 0.5)))
+        series = cascade.estimate_deltas(zhat, 3)
+        report = symmetry.classify(series)
+        assert report.verdict == "a1-holds"  # affine-divergent with independent errors
+        report = symmetry.characterize(series, 0.5, 3)
+        assert out == report.to_json() + "\n"
+
     def test_rerun_byte_identical(self, tmp_path, capsys):
         args = [
             "simulate", "--beta", "2/3", "--bigC", "2", "--gamma", "1/9",
@@ -186,6 +217,15 @@ class TestSimulateAnalyze:
         ("# {}\np,zeta_hat,se\n", "no data rows"),
         (ZETA_CSV.replace("6,1.5,0.02", "6,1.5,nan"), "stderr entries must be finite"),
         (ZETA_CSV.replace("6,1.5,0.02", "6,1.5,-0.02"), "stderr entries must be finite and >= 0"),
+        (ZETA_CSV.replace("# {}", '# {"cov": [[0.0]]}'), "expected a 7 x 7 covariance"),
+        (ZETA_CSV.replace("# {}", '# {"cov": "x"}'), "must be a numeric matrix"),
+        (ZETA_CSV.replace("# {}", '# {"cov": {"a": 1}}'), "must be a numeric matrix"),
+        (ZETA_CSV.replace("# {}", "# " + json.dumps({"cov": COV.tolist()})).replace(
+            "6,1.5,0.02", "6,1.5,0.03"), "diagonal are not se"),
+        (ZETA_CSV.replace("# {}", "# " + json.dumps({"cov": (COV + np.triu(COV, 1) * 0.5).tolist()})),
+         "not symmetric"),
+        (ZETA_CSV.replace("# {}", "# " + json.dumps({"cov": np.where(COV > 0, COV, np.nan).tolist()})),
+         "must be finite"),
     ])
     def test_empty_or_header_only_csv_exits_1_with_json_stderr(self, tmp_path, capsys, text,
                                                                 message):
