@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.special import pdtr
 
 from .exponents import DeltaSeries, ScalingLaw, _check_order
 
@@ -229,18 +230,26 @@ def sample_logW(gen, count: int, seed: int) -> np.ndarray:
     reads only its own stream, so the counts depend only on the seed and
     the total jump rate: two generators with equal total rate sampled
     with the same seed share their jump counts (useful for
-    common-random-number comparisons).  Every jump is sized from one jump
-    table, the atom locations followed by a NaN slot for a StableTail,
-    at an index drawn from the categorical law of the cumulative rates
-    by an exact bucketed search; the tail's slots are filled by an
-    inverse-CDF draw.  A table of the tail alone draws no index, and a
-    table of one atom and no tail draws nothing after the counts: a
-    sample with j jumps gets the j-th prefix sum x + x + ... + x, the
-    same left-to-right sum as the general path, so one atom (x, w) and
-    two atoms (x, w/2) give the same bytes.  The drift, or a normal drawn
-    about it, is added to the jump sum last.  This is the one-row case of
-    _sample_rows, which draws in blocks, so memory is the output plus
-    O(one block).
+    common-random-number comparisons).  Below a total rate of 2, which
+    holds the canonical law's 2 ln 2, the counts are Generator.poisson's.
+    From 2 up each count is one uniform u inverted on a table of
+    P(N <= k) (scipy.special.pdtr) over the window k = rate -/+
+    (12 sqrt(rate) + 40), clipped at 0, with the last entry set to 1.0.
+    u is a multiple of 2**-53, so the table resolves each count's
+    probability to 2**-53, and the mass outside the window, far below
+    2**-53, falls to its end counts.  A rate whose window reaches past
+    2**24 raises ValueError before anything is drawn.  Every jump is
+    sized from one jump table, the atom locations followed by a NaN slot
+    for a StableTail, at an index drawn from the categorical law of the
+    cumulative rates by an exact bucketed search; the tail's slots are
+    filled by an inverse-CDF draw.  A table of the tail alone draws no
+    index, and a table of one atom and no tail draws nothing after the
+    counts: a sample with j jumps gets the j-th prefix sum
+    x + x + ... + x, the same left-to-right sum as the general path, so
+    one atom (x, w) and two atoms (x, w/2) give the same bytes.  The
+    drift, or a normal drawn about it, is added to the jump sum last.
+    This is the one-row case of _sample_rows, which draws in blocks, so
+    memory is the output plus O(one block).
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -283,6 +292,15 @@ def _bucketed_pick(edges: np.ndarray):
 # of a draw is a few times 8 B x _BLOCK, whatever the row's length
 _BLOCK = 1 << 18
 
+# total jump rates from here up draw their counts from a pdtr table; below it
+# Generator.poisson keeps the stream of the canonical law (rate 2 ln 2), on which the
+# seeded acceptance gates were recorded
+_TABLE_RATE = 2.0
+
+# the largest count the window of a rate may reach: a higher rate is refused before
+# anything is drawn
+_MAX_COUNT = 1 << 24
+
 
 def _blocks(n: int):
     """(start, stop) of the consecutive slices of range(n) with at most _BLOCK elements."""
@@ -315,19 +333,23 @@ def _sample_rows(gen, rows: int, cols: int, seed: int):
     Each random component reads its own stream (see sample_logW) in
     row-major order, so the rows concatenated are
     sample_logW(gen, rows * cols, seed) byte for byte; consecutive calls
-    on one Generator give the values of one large call.  Each row is
+    on one Generator give the values of one large call.  The counts are
+    Generator.poisson's below a total rate of _TABLE_RATE; from there up
+    one pdtr table over the window is built per call, and each count is
+    _bucketed_pick of one uniform on it (see sample_logW).  A window
+    past _MAX_COUNT raises ValueError at the first draw.  Each row is
     filled block by block (see _BLOCK), and each block draws its counts,
     then its jump sums, then adds the drift or its normals.  With at
     most one atom and no tail a block gathers the prefix sums of the
     atom.  Any other table cuts the block at whole samples into blocks
     of at most _BLOCK jumps (a sample with more is a block of its own),
     picks each jump's slot by _bucketed_pick and sums each sample's
-    jumps with bincount.  A table of the tail alone draws no jump uniforms: every
-    pick would be its one slot.  Every sample sums its jumps left to
-    right from 0.0, then adds the drift (or drift + normal) last; IEEE
-    addition is commutative, and LevyGenerator stores its drift without
-    a negative zero, so each sample's bytes are those of
-    drift + normal + jumps.  Memory is the row being filled plus
+    jumps with bincount.  A table of the tail alone draws no jump
+    uniforms: every pick would be its one slot.  Every sample sums its
+    jumps left to right from 0.0, then adds the drift (or drift +
+    normal) last; IEEE addition is commutative, and LevyGenerator stores
+    its drift without a negative zero, so each sample's bytes are those
+    of drift + normal + jumps.  Memory is the row being filled plus
     O(one block).
     """
     g = as_levy(gen)
@@ -340,8 +362,26 @@ def _sample_rows(gen, rows: int, cols: int, seed: int):
     if tail is not None:
         table.append(math.nan)  # atoms are finite, so NaN marks only the tail slot
         rates.append(tail.mass)
-    cum = np.cumsum(rates)
+    with np.errstate(over="ignore"):  # an infinite total rate is refused below
+        cum = np.cumsum(rates)
     rate = cum[-1] if rates else 0.0  # the total jump rate
+    spread = 12.0 * math.sqrt(rate) + 40.0  # the counts window is rate -/+ spread
+    if not rate + spread <= _MAX_COUNT:  # as floats, so an infinite rate is refused too
+        raise ValueError(f"total jump rate {rate:g} is too large: its Poisson counts reach past "
+                         f"the cap of {_MAX_COUNT} jumps per sample")
+    if rate >= _TABLE_RATE:
+        k_lo = max(0, math.floor(rate - spread))
+        cdf = pdtr(np.arange(k_lo, math.ceil(rate + spread) + 1), rate)
+        cdf[-1] = 1.0
+        pick_count = _bucketed_pick(cdf)
+
+        def draw_counts(n):
+            nj = pick_count(counts.random(n))
+            nj += k_lo
+            return nj
+    else:
+        def draw_counts(n):
+            return counts.poisson(rate, size=n)
     prefix_path = len(table) <= 1 and tail is None  # at most one atom, and no tail
     tail_only = tail is not None and not g.atoms
     if tail is not None:
@@ -363,7 +403,7 @@ def _sample_rows(gen, rows: int, cols: int, seed: int):
     for _ in range(rows):
         out = np.empty(cols)
         for s, e in _blocks(cols):
-            nj = counts.poisson(rate, size=e - s)
+            nj = draw_counts(e - s)
             block = out[s:e]
             if prefix_path:  # a sample with j jumps gets the j-th prefix sum x + ... + x
                 prefix = np.concatenate(([0.0], np.cumsum(np.repeat(table, nj.max()))))

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,9 +133,11 @@ class TestOutOfRangeParameters:
         (["classify-family", "--bigC", "1e300"], "OverflowError", "not finite at any q"),
         (["simulate", "--beta", "2/3", "--bigC", "2", "--gamma", "1e300", "--k", "3", "--r", "0.5",
           "--levels", "3", "--samples", "200"], "OverflowError", "jackknife error is not finite"),
-        # a Poisson rate of ~7e16 jumps per sample: the jump table cannot be allocated
+        # Poisson rates of ~7e16 and ~7e8 jumps per sample, refused before anything is drawn
         (["simulate", "--beta", "2/3", "--bigC", "1e17", "--r", "0.5", "--levels", "2",
-          "--samples", "100"], "MemoryError", "Unable to allocate"),
+          "--samples", "100"], "ValueError", "cap of 16777216 jumps per sample"),
+        (["simulate", "--beta", "2/3", "--bigC", "1e9", "--r", "0.5", "--levels", "2",
+          "--samples", "100"], "ValueError", "cap of 16777216 jumps per sample"),
     ])
     def test_exits_1_with_json_stderr(self, capsys, tmp_path, monkeypatch, argv, error, message):
         monkeypatch.chdir(tmp_path)
@@ -144,6 +147,17 @@ class TestOutOfRangeParameters:
         doc = json.loads(err)
         assert doc["error"] == error and message in doc["message"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["zeta.csv"]  # nothing written
+
+    def test_huge_rate_allocates_nothing_large(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, "simulate", "--beta", "2/3", "--bigC", "1e9", "--r", "0.5")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and json.loads(err)["error"] == "ValueError"
+        assert peak < 50 * 2**20
 
 
 class TestSimulateAnalyze:
@@ -472,6 +486,9 @@ SIZE_VALUES = {
 # sample, so there they are size flags too: rates up to ~50 (and out-of-range values)
 RATE_VALUES = {"--bigC": st.floats(-1.0, 10.0), "--r": st.floats(0.01, 1.5)}
 SAMPLING = ("simulate", "stability")
+# simulate refuses a rate whose counts reach past 2**24 before it draws, so its --bigC also
+# takes absurd values; stability's presets of >= 2 atoms would draw every jump of 10**4 samples
+SIMULATE_BIGC = RATE_VALUES["--bigC"] | st.sampled_from([1e9, 1e17, 1e300])
 
 
 @st.composite
@@ -482,6 +499,8 @@ def mutated_commands(draw):
                               unique=True)):
         if flag in SIZE_VALUES:
             flags[flag] = str(draw(SIZE_VALUES[flag]))
+        elif flag == "--bigC" and head[0] == "simulate":
+            flags[flag] = repr(draw(SIMULATE_BIGC))
         elif flag in RATE_VALUES and head[0] in SAMPLING:
             flags[flag] = repr(draw(RATE_VALUES[flag]))
         elif flag == "--eps-grid":

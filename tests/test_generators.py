@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy import integrate
+from scipy import integrate, special, stats
 
 from hscascade import generators as gens_module
 from hscascade.exponents import ScalingLaw, zeta
@@ -196,6 +196,17 @@ class TestSampleLogW:
         # uniforms, tail uniforms and normals
         gen = LevyGenerator(drift=0.05, sigma2=0.1, atoms=((-0.3, 0.8), (0.15, 0.5)),
                             tail=StableTail(alpha=0.5, c=0.05, x_min=1e-3, x_max=1.0))
+        n = 1_000_000
+        logw = sample_logW(gen, n, seed=3)
+        for p in (1, 2, 3):
+            x = np.exp(p * logw)
+            se = x.std(ddof=1) / math.sqrt(n)
+            assert abs(x.mean() - math.exp(ln_moment(gen, p))) < 4 * se
+
+    def test_monte_carlo_moments_of_the_stable_tail(self):
+        # the log-stable law of classify-family and the benchmark, ~9.9 jumps per draw:
+        # its counts come from the table
+        gen = LevyGenerator(drift=SL_LP.a, tail=CLASSIFY_TAIL)
         n = 1_000_000
         logw = sample_logW(gen, n, seed=3)
         for p in (1, 2, 3):
@@ -453,7 +464,9 @@ def reference_sample_logW(gen, count, seed):
     Pins the random streams: the counts come from Philox(key=seed), and
     the jump uniforms, the tail uniforms and the normals from that
     generator jumped 1, 2 and 3 times.  The total rate is summed left to
-    right, as float sum() did before Python 3.12.
+    right, as float sum() did before Python 3.12.  Below a total rate of
+    2 the counts are Generator.poisson's; from 2 up they are one uniform
+    each, inverted by scipy.stats.poisson.ppf.
     """
     g = as_levy(gen)
     bits = np.random.Philox(key=int(seed))
@@ -473,7 +486,10 @@ def reference_sample_logW(gen, count, seed):
     if total_rate == 0.0:
         return out
 
-    n_jumps = counts.poisson(total_rate, size=count)
+    if total_rate < 2.0:
+        n_jumps = counts.poisson(total_rate, size=count)
+    else:
+        n_jumps = stats.poisson.ppf(counts.random(count), total_rate).astype(np.int64)
     t = int(n_jumps.sum())
     if t == 0:
         return out
@@ -602,6 +618,56 @@ class TestRandomStream:
         wb = np.sort(np.exp(reference_sample_logW(SL_LP, 200_000, 3)))
         expected = float(np.abs(wa - wb).mean())
         assert empirical_w1_multipliers(pert, SL_LP, 200_000, 3) == expected
+
+    def test_common_random_numbers_kept_at_a_table_rate(self):
+        # C = 4 puts both laws at rate 4 ln 2 ~ 2.77, where the counts come from the table
+        lp = logpoisson_from_scaling(replace(SL, big_c=4.0), 0.5)
+        pert = split_perturbation(lp, 3, 0.05)
+        wa = np.sort(np.exp(reference_sample_logW(pert, 200_000, 3)))
+        wb = np.sort(np.exp(reference_sample_logW(lp, 200_000, 3)))
+        expected = float(np.abs(wa - wb).mean())
+        assert empirical_w1_multipliers(pert, lp, 200_000, 3) == expected
+
+
+def jump_counts(rate, count, seed):
+    """The Poisson counts sample_logW draws at this total rate: minus its draws of N * (-1.0)."""
+    return -sample_logW(LevyGenerator(atoms=((-1.0, rate),)), count, seed)
+
+
+class TestCountTable:
+    """From a total rate of 2 up, the counts are one uniform each, inverted on a pdtr table."""
+
+    @pytest.mark.parametrize("rate", [2.0, 9.9, 50.0, 400.0, 1e5])
+    def test_chi_square_against_pdtr(self, rate):
+        n = 1 << 20
+        got = jump_counts(rate, n, 13)
+        # 42 bins: N <= c_0, c_0 < N <= c_1, ..., N > c_40, at steps of sqrt(rate)/5
+        cuts = np.unique(np.maximum(0.0, np.round(rate + math.sqrt(rate) * np.linspace(-4, 4, 41))))
+        observed = np.bincount(np.searchsorted(cuts, got, side="left"), minlength=len(cuts) + 1)
+        expected = n * np.diff(np.concatenate(([0.0], special.pdtr(cuts, rate), [1.0])))
+        assert stats.chisquare(observed, expected).pvalue > 1e-3
+
+    @pytest.mark.parametrize("rate", [np.nextafter(2.0, 0.0), SL_LP.lam], ids=["below 2", "2 ln 2"])
+    def test_poisson_below_the_table_rate(self, rate):
+        rng = np.random.Generator(np.random.Philox(key=21))
+        assert np.array_equal(jump_counts(rate, 100_000, 21), rng.poisson(rate, 100_000))
+
+    def test_table_from_rate_2(self):
+        rng = np.random.Generator(np.random.Philox(key=21))
+        u = rng.random(100_000)
+        got = jump_counts(2.0, 100_000, 21)
+        assert np.array_equal(got, stats.poisson.ppf(u, 2.0))
+        rng = np.random.Generator(np.random.Philox(key=21))
+        assert not np.array_equal(got, rng.poisson(2.0, 100_000))
+
+    @pytest.mark.parametrize("atoms", [((-1.0, 1e8),), ((-1.0, 1e308), (-0.5, 1e308))],
+                             ids=["rate 1e8", "infinite rate"])
+    def test_refuses_counts_past_the_cap(self, atoms):
+        gen = LevyGenerator(atoms=atoms)
+        with pytest.raises(ValueError, match=r"total jump rate (1e\+08|inf) .* cap of 16777216"):
+            sample_logW(gen, 10, 0)
+        with pytest.raises(ValueError, match="cap of 16777216"):
+            next(_sample_rows(gen, 3, 10, 0))
 
 
 class TestSampleRows:
