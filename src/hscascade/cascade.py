@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exponents import CascadeParams, DeltaSeries
+from .exponents import CascadeParams, DeltaSeries, _check_order
 from .generators import _sample_rows
 
 __all__ = [
@@ -58,11 +58,11 @@ class SimConfig:
             raise ValueError(f"n_levels must be >= 2, got {self.n_levels}")
         if self.n_samples < 100:
             raise ValueError(f"n_samples must be >= 100, got {self.n_samples}")
-        p_list = tuple(float(p) for p in self.p_list) or default_p_list(self.params.k)
+        if not 0 <= self.seed < 2**128:  # a Philox key
+            raise ValueError(f"seed must lie in [0, 2**128), got {self.seed}")
+        p_list = tuple(_check_order(p) for p in self.p_list) or default_p_list(self.params.k)
         if 0.0 not in p_list:
             p_list = (0.0,) + p_list
-        if any(p < 0 for p in p_list):
-            raise ValueError("moment orders must be >= 0")
         object.__setattr__(self, "p_list", tuple(sorted(set(p_list))))
 
 

@@ -248,7 +248,9 @@ def sample_logW(gen, count: int, seed: int) -> np.ndarray:
     x + x + ... + x, the same left-to-right sum as the general path, so
     one atom (x, w) and two atoms (x, w/2) give the same bytes.  The
     drift, or a normal drawn about it, is added to the jump sum last.
-    This is the one-row case of _sample_rows, which draws in blocks, so
+    This is the one-row case of _sample_rows, which draws in blocks of
+    _BLOCK samples on the one-atom path and of max(1, int(_BLOCK / rate))
+    samples, about _BLOCK jumps on average, on the general path, so
     memory is the output plus O(one block).
     """
     if count < 1:
@@ -288,8 +290,8 @@ def _bucketed_pick(edges: np.ndarray):
     return pick
 
 
-# samples per block of a row, and jumps per block on the general path: every temporary
-# of a draw is a few times 8 B x _BLOCK, whatever the row's length
+# samples per block of a row on the one-atom path, and mean jumps per block on the general
+# path: every temporary of a draw is a few times 8 B x _BLOCK, whatever the row's length
 _BLOCK = 1 << 18
 
 # total jump rates from here up draw their counts from a pdtr table; below it
@@ -300,31 +302,6 @@ _TABLE_RATE = 2.0
 # the largest count the window of a rate may reach: a higher rate is refused before
 # anything is drawn
 _MAX_COUNT = 1 << 24
-
-
-def _blocks(n: int):
-    """(start, stop) of the consecutive slices of range(n) with at most _BLOCK elements."""
-    return ((s, min(s + _BLOCK, n)) for s in range(0, n, _BLOCK))
-
-
-def _jump_blocks(nj: np.ndarray):
-    """(start, stop, jumps) of consecutive slices of one block of counts nj, cut at whole samples.
-
-    Each slice holds at most _BLOCK jumps, except that a sample with more
-    jumps than _BLOCK is a slice of its own.
-    """
-    total = int(nj.sum())
-    if total <= _BLOCK:
-        yield 0, len(nj), total
-        return
-    ends = np.cumsum(nj, dtype=np.int64)  # jumps up to and including each sample
-    cuts, a, done = [], 0, 0
-    while a < len(nj):
-        b = max(int(np.searchsorted(ends, done + _BLOCK, side="right")), a + 1)
-        cuts.append((a, b, int(ends[b - 1]) - done))
-        a, done = b, int(ends[b - 1])
-    del ends  # before the blocks allocate
-    yield from cuts
 
 
 def _sample_rows(gen, rows: int, cols: int, seed: int):
@@ -338,19 +315,20 @@ def _sample_rows(gen, rows: int, cols: int, seed: int):
     one pdtr table over the window is built per call, and each count is
     _bucketed_pick of one uniform on it (see sample_logW).  A window
     past _MAX_COUNT raises ValueError at the first draw.  Each row is
-    filled block by block (see _BLOCK), and each block draws its counts,
-    then its jump sums, then adds the drift or its normals.  With at
-    most one atom and no tail a block gathers the prefix sums of the
-    atom.  Any other table cuts the block at whole samples into blocks
-    of at most _BLOCK jumps (a sample with more is a block of its own),
-    picks each jump's slot by _bucketed_pick and sums each sample's
-    jumps with bincount.  A table of the tail alone draws no jump
-    uniforms: every pick would be its one slot.  Every sample sums its
-    jumps left to right from 0.0, then adds the drift (or drift +
-    normal) last; IEEE addition is commutative, and LevyGenerator stores
-    its drift without a negative zero, so each sample's bytes are those
-    of drift + normal + jumps.  Memory is the row being filled plus
-    O(one block).
+    filled block by block, and each block draws its counts, then its
+    jump sums, then adds the drift or its normals.  With at most one
+    atom and no tail a block is _BLOCK samples and gathers the prefix
+    sums of the atom from one table.  Any other table makes a block of
+    max(1, int(_BLOCK / max(rate, 1))) samples, which holds
+    Poisson(width * rate) jumps: about _BLOCK on average, or one
+    sample's from a rate of _BLOCK up.  It picks each jump's slot by
+    _bucketed_pick and sums each sample's jumps with one bincount.  A
+    table of the tail alone draws no jump uniforms: every pick would be
+    its one slot.  Every sample sums its jumps left to right from 0.0,
+    then adds the drift (or drift + normal) last; IEEE addition is
+    commutative, and LevyGenerator stores its drift without a negative
+    zero, so each sample's bytes are those of drift + normal + jumps.
+    Memory is the row being filled plus O(one block).
     """
     g = as_levy(gen)
     bits = np.random.Philox(key=int(seed))
@@ -395,35 +373,45 @@ def _sample_rows(gen, rows: int, cols: int, seed: int):
             np.subtract(lo, v, out=v)
             v **= -1.0 / a
             return np.negative(v, out=v)
-    if not prefix_path:
+    if prefix_path:
+        width = _BLOCK  # a block holds no jumps
+    else:
+        # a block of `width` samples holds Poisson(width * rate) jumps: at most _BLOCK on
+        # average, or one sample's jumps from rate _BLOCK up
+        width = max(1, int(_BLOCK / max(rate, 1.0)))
         # dividing by the table's own last entry makes the last edge exactly 1.0
         pick = _bucketed_pick(cum / rate)
-        owner = np.arange(min(cols, _BLOCK))
+        owner = np.arange(min(cols, width))
 
     for _ in range(rows):
         out = np.empty(cols)
-        for s, e in _blocks(cols):
-            nj = draw_counts(e - s)
-            block = out[s:e]
+        for s in range(0, cols, width):
+            block = out[s:s + width]
+            nj = draw_counts(len(block))
             if prefix_path:  # a sample with j jumps gets the j-th prefix sum x + ... + x
-                prefix = np.concatenate(([0.0], np.cumsum(np.repeat(table, nj.max()))))
+                prefix = np.empty(int(nj.max()) + 1)
+                prefix[0] = 0.0
+                prefix[1:] = table  # [x], or [] when there is no atom and every count is 0
+                np.cumsum(prefix, out=prefix)
                 # "clip" never clips here and, unlike "raise", writes out unbuffered
                 np.take(prefix, nj, out=block, mode="clip")
+                del prefix  # before the next block's table allocates
             else:
-                for i, j, jumps in _jump_blocks(nj):
-                    if tail_only:
-                        sizes = tail_sizes(jumps)
-                    else:
-                        sizes = np.take(table, pick(jump_rng.random(jumps)))
-                        if tail is not None:
-                            sel = np.isnan(sizes)
-                            sizes[sel] = tail_sizes(int(sel.sum()))
-                            del sel  # before repeat() allocates
-                    # each sample's jumps are contiguous and in order, so it sums them as one
-                    # call would; with no jump in the block bincount returns int64 zeros
-                    block[i:j] = np.bincount(np.repeat(owner[:j - i], nj[i:j]),
-                                             weights=sizes, minlength=j - i)
-            block += normals.normal(g.drift, math.sqrt(g.sigma2), e - s) if g.sigma2 > 0 else g.drift
+                jumps = int(nj.sum())
+                if tail_only:
+                    sizes = tail_sizes(jumps)
+                else:
+                    sizes = np.take(table, pick(jump_rng.random(jumps)))
+                    if tail is not None:
+                        sel = np.isnan(sizes)
+                        sizes[sel] = tail_sizes(int(sel.sum()))
+                        del sel  # before repeat() allocates
+                # each sample's jumps are contiguous and in order, so it sums them as one
+                # call would; with no jump in the block bincount returns int64 zeros
+                block[:] = np.bincount(np.repeat(owner[:len(block)], nj), weights=sizes,
+                                       minlength=len(block))
+            block += (normals.normal(g.drift, math.sqrt(g.sigma2), len(block)) if g.sigma2 > 0
+                      else g.drift)
         nj = sizes = None  # free the last block's counts and jumps while the row is in use
         yield out
 

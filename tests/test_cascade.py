@@ -284,7 +284,8 @@ class TestMemory:
     jumps, counts and normals of a row add one block to its draws: 1.75 x for the one-atom
     law, 4 x for a stable tail, 10 x for 200 atoms at 50 jumps per draw, 3.5 x for a W1
     pair, 15 x one level for simulate on a stable tail at 16 levels, and 8 x and 7 x for
-    simulate on a Gaussian part without and with an atom at 16 levels."""
+    simulate on a Gaussian part without and with an atom at 16 levels. One atom near the
+    rate cap holds one prefix table, within 1.25 x 8 B x the top of its counts window."""
 
     def traced_peak(self, run):
         tracemalloc.start()
@@ -335,12 +336,20 @@ class TestMemory:
         assert peak <= 4 * 8 * 1_000_000
 
     def test_sample_logW_jumps_capped_per_block(self):
-        # 200 atoms at 50 jumps per draw: no block holds more than _BLOCK jumps (108 x uncapped)
+        # 200 atoms at 50 jumps per draw: a block of int(_BLOCK / 50) samples holds about
+        # _BLOCK jumps (108 x for a whole row)
         rng = np.random.default_rng(2024)
         gen = LevyGenerator(drift=SL_LP.a, atoms=tuple(zip(
             rng.uniform(-0.4, -0.02, 200).tolist(), (rng.dirichlet(np.ones(200)) * 50.0).tolist())))
         peak = self.traced_peak(lambda: sample_logW(gen, 200_000, 0))
         assert peak <= 10 * 8 * 200_000
+
+    def test_sample_logW_one_prefix_table_near_the_rate_cap(self):
+        # the prefix table is filled and summed in one array (2.07 x with a copy beside it)
+        rate = 1.6e7
+        gen = LevyGenerator(atoms=((-1e-3, rate),))
+        peak = self.traced_peak(lambda: sample_logW(gen, 10, 0))
+        assert peak <= 1.25 * 8 * (rate + 12 * math.sqrt(rate) + 40)
 
     def test_w1_pair_in_place(self):
         # exp, sort and difference run in the two sampled arrays (4.90 x with copies)
@@ -764,6 +773,16 @@ class TestConfigValidation:
             SimConfig(params=CascadeParams(r=0.5), n_levels=4, n_samples=10)
         with pytest.raises(ValueError):
             SimConfig(params=CascadeParams(r=0.5), n_levels=4, n_samples=500, p_list=(-1.0,))
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_orders(self, p):
+        with pytest.raises(ValueError, match="moment order must be finite and >= 0"):
+            SimConfig(params=CascadeParams(r=0.5), n_levels=4, n_samples=500, p_list=(1.0, p))
+
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_rejects_bad_seeds(self, seed):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*128\)"):
+            SimConfig(params=CascadeParams(r=0.5), n_levels=4, n_samples=500, seed=seed)
 
     def test_default_p_list(self):
         assert default_p_list(3) == (0.0, 1.0, 3.0, 6.0, 9.0, 12.0, 15.0, 18.0)

@@ -16,7 +16,6 @@ from hscascade.generators import (
     LevyGenerator,
     _BLOCK,
     _bucketed_pick,
-    _jump_blocks,
     _sample_rows,
     LogPoissonParams,
     StableTail,
@@ -720,7 +719,7 @@ def block_laws(draw):
     """One atom, 2-40 atoms, a StableTail, or atoms and a tail, each with sigma2 = 0 or 0.2.
 
     The total jump rate runs from ~0.01, where most small blocks draw no
-    jump, to 40, where one sample outgrows a small jump cap.
+    jump, to 40, where a small block size makes each sample a block of its own.
     """
     kind = draw(st.sampled_from(["one atom", "atoms", "tail", "atoms + tail"]))
     rate = draw(st.sampled_from([0.01, 0.3, 2.0, 40.0]))
@@ -740,7 +739,8 @@ def block_laws(draw):
                          atoms=atoms, tail=tail)
 
 
-# block sizes far below _BLOCK cross many blocks, and the jump cap, in a small draw
+# block sizes far below _BLOCK cross many blocks in a small draw, and cut the general path's
+# blocks down to a few samples, or one, at its higher rates
 SMALL_BLOCKS = [1, 2, 7, 64]
 
 
@@ -780,8 +780,8 @@ class TestBlocks:
 
     @pytest.mark.parametrize("tail", [None, CLASSIFY_TAIL], ids=["one-atom path", "general path"])
     def test_samples_over_the_jump_cap(self, monkeypatch, tail):
-        # ~400 jumps per sample against a cap of 64: each sample is a block of its own,
-        # in rows narrower than one block of samples
+        # ~400 jumps per sample and a block size of 64: the general path draws each sample as
+        # a block of its own, and the one-atom path 64 samples per block in rows of 50
         monkeypatch.setattr(gens_module, "_BLOCK", 64)
         gen = LevyGenerator(drift=0.1, atoms=((-0.01, 400.0),), tail=tail)
         got = np.concatenate(list(_sample_rows(gen, 4, 50, 9)))
@@ -790,27 +790,41 @@ class TestBlocks:
     @pytest.mark.parametrize("count", [_BLOCK - 1, _BLOCK + 1])
     @pytest.mark.parametrize("gen", [
         SL_LP,
-        # ~2 jumps per sample: _BLOCK + 1 samples hold more than _BLOCK jumps
+        # ~2 jumps per sample: cut at its own width int(_BLOCK / rate), not at _BLOCK
         LevyGenerator(drift=0.1, sigma2=0.3, atoms=((-0.3, 1.0), (0.1, 0.4)), tail=CLASSIFY_TAIL),
     ], ids=["one atom", "atoms + tail"])
     def test_at_the_block_size(self, gen, count):
-        got = sample_logW(gen, count, 4)
-        assert got.tobytes() == reference_sample_logW(gen, count, 4).tobytes()
+        counts = [count]
+        if isinstance(gen, LevyGenerator):  # the same offset from the law's own block width
+            rate = sum(w for _, w in gen.atoms) + gen.tail.mass
+            counts.append(count - _BLOCK + int(_BLOCK / rate))
+        for n in counts:
+            got = sample_logW(gen, n, 4)
+            assert got.tobytes() == reference_sample_logW(gen, n, 4).tobytes()
 
-    @settings(max_examples=100, deadline=None)
-    @given(nj=hnp.arrays(np.uint8, st.integers(1, 200), elements=st.integers(0, 20)),
-           block=st.sampled_from(SMALL_BLOCKS))
-    def test_jump_blocks_cut_at_whole_samples(self, nj, block):
-        nj = nj[:block]  # _sample_rows passes the counts of one block of at most _BLOCK samples
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(gens_module, "_BLOCK", block)
-            cuts = list(_jump_blocks(nj))
-        assert [a for a, _, _ in cuts] == [0] + [b for _, b, _ in cuts[:-1]]
-        assert cuts[-1][1] == len(nj)
-        for a, b, jumps in cuts:
-            assert 0 < b - a <= block
-            assert jumps == int(nj[a:b].sum())
-            assert jumps <= block or b - a == 1
+    @pytest.mark.parametrize("rate", [0.5, 3.0, 40.0, 300.0])
+    def test_block_width_from_the_rate(self, monkeypatch, rate):
+        # every block but a row's last holds max(1, int(_BLOCK / max(rate, 1))) samples, so
+        # Poisson(width * rate) jumps: about _BLOCK on average, or one sample's from rate _BLOCK up
+        block = 256
+        width = max(1, int(block / max(rate, 1.0)))
+        gen = LevyGenerator(drift=0.1, atoms=((-0.3, rate / 2), (0.1, rate / 2)))
+        monkeypatch.setattr(gens_module, "_BLOCK", block)
+        calls, bincount = [], np.bincount
+
+        def spy(owners, weights, minlength):
+            calls.append((minlength, len(weights)))
+            return bincount(owners, weights=weights, minlength=minlength)
+
+        monkeypatch.setattr(np, "bincount", spy)
+        cols, jumps = 1000, []
+        for _ in _sample_rows(gen, 2, cols, 11):
+            samples = [n for n, _ in calls]
+            assert samples == [width] * (cols // width) + ([cols % width] if cols % width else [])
+            jumps += [t for n, t in calls if n == width]
+            calls.clear()
+        mean = max(block, rate)  # what a full block holds on average, at most
+        assert np.mean(jumps) <= mean + 4 * math.sqrt(mean / len(jumps))
 
 
 class TestNoNegativeZero:
