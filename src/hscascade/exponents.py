@@ -52,8 +52,8 @@ def _check_beta(beta: float) -> float:
 
 
 def _check_dimension(d: float) -> None:
-    if not d > 0:
-        raise ValueError(f"support dimension d must be > 0, got {d}")
+    if not 0 < d < math.inf:
+        raise ValueError(f"support dimension d must be > 0 and finite, got {d}")
 
 
 @dataclass(frozen=True)

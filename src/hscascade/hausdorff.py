@@ -209,6 +209,8 @@ def a1_residual_vs_reference(gen, ref: LogPoissonParams, r: float, k: int, m_max
     from its delta array: split_width_for_epsilon calls this at every
     iterate, and no DeltaSeries is built for it.
     """
+    if m_max < 1:
+        raise ValueError(f"m_max must be >= 1, got {m_max}")
     beta = math.exp(ref.b * k)
     delta_inf = ref.a * k / math.log(r)
     deltas = _analytic_deltas(gen, r, k, m_max + 1)
@@ -325,16 +327,22 @@ def split_width_for_epsilon(
 ) -> float:
     """Invert s -> epsilon(s) for the symmetric-split family.
 
-    Brent's root finder (brentq) runs in ln s over [1e-12, 0.999*min(beta, 1-beta)];
-    a target outside the epsilon range of that bracket is unreachable.
+    Brent's root finder (brentq) runs on ln epsilon(s) - ln eps_target in
+    ln s over [1e-12, 0.999*min(beta, 1-beta)], where epsilon is close to
+    a power of s; a target outside the epsilon range of that bracket is
+    unreachable.
     """
+    if not 0.0 < eps_target < math.inf:  # also rejects a nan target
+        raise ValueError(f"epsilon target {eps_target} unreachable for this family")
     beta = math.exp(ref.b * k)
+    ln_target = math.log(eps_target)
 
     def excess(ln_s):
         pert = split_perturbation(ref, k, math.exp(ln_s))
-        return a1_residual_vs_reference(pert, ref, r, k, m_max) - eps_target
+        eps = a1_residual_vs_reference(pert, ref, r, k, m_max)
+        return math.log(max(eps, 1e-300)) - ln_target  # a residual can round to 0 at tiny s
 
     lo, hi = math.log(1e-12), math.log(min(beta, 1.0 - beta) * 0.999)
-    if not excess(lo) <= 0.0 <= excess(hi):  # also rejects a nan target
+    if not excess(lo) <= 0.0 <= excess(hi):
         raise ValueError(f"epsilon target {eps_target} unreachable for this family")
     return math.exp(optimize.brentq(excess, lo, hi, xtol=1e-12))

@@ -6,8 +6,8 @@ For a scaling law with C > 0 the spectrum is
 
 on h in [gamma, gamma + (C/k)*|ln beta|], with the x -> 0 endpoint
 defined by its limit d - C.  The oracle evaluates
-f(h) = inf_{p >= 0} [p*h - zeta_p + d] on a dense grid with local
-refinement.
+f(h) = inf_{p >= 0} [p*h - zeta_p + d] on a dense grid, refined on
+the two cells around its best node.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .cascade import write_csv
 from .exponents import ScalingLaw, _check_dimension, spectrum_width, zeta
@@ -68,31 +67,33 @@ def f_legendre(
 ) -> float:
     """Numerical inf_p [p*h - zeta_p + d] over p >= 0; oracle for f_closed.
 
-    The best of `grid` log-spaced orders is refined by bounded Brent on
-    the two cells around it; the search is repeated on a doubled grid and
-    a shift of the inf by more than 1e-6 is an error.  The grids and
-    zeta on them depend only on (law, p_max, grid) and are memoized, so
-    a sweep over h evaluates zeta on them once per law.
+    The best of `grid` log-spaced orders is refined by evaluating the
+    objective at 513 equally spaced orders on the two cells around it,
+    ends included (one vectorized zeta call); the objective is convex
+    there because zeta is concave.  The search is repeated on a doubled
+    grid and a shift of the inf by more than 1e-6 is an error.  The
+    grids and zeta on them depend only on (law, p_max, grid) and are
+    memoized, so a sweep over h evaluates zeta on them once per law.
     """
     _check_dimension(d)
     _x_of(law, h)  # domain check
+    if isinstance(grid, bool) or not isinstance(grid, int) or grid < 2:
+        raise ValueError(f"grid must be an int >= 2, got {grid!r}")
     if p_max is None:
         # large enough that beta**(p_max/k) < 1e-8
         p_max = 1.05 * law.k * math.log(1e-8) / math.log(law.beta)
+    if not (math.isfinite(p_max) and p_max > 0):
+        raise ValueError(f"p_max must be finite and > 0, got {p_max}")
     if law.beta ** (p_max / law.k) >= 1e-8:
         raise ValueError(f"p_max = {p_max} too small for the requested accuracy")
 
-    def objective(p):
-        return p * h - zeta(law, p) + d
-
     def grid_min(n):
         ps, zs = _order_grid(law, float(p_max), n)
-        i = int(np.argmin(ps * h - zs + d))  # objective(ps), in the same order of operations
-        # bounded Brent on the cell pair around the best node; the ends
-        # cover an inf on the p >= 0 or p = p_max boundary
-        lo, hi = ps[max(i - 1, 0)], ps[min(i + 1, len(ps) - 1)]
-        res = optimize.minimize_scalar(objective, bounds=(lo, hi), method="bounded")
-        return min(res.fun, objective(lo), objective(hi))
+        i = int(np.argmin(ps * h - zs + d))
+        # the cell pair around the best node; its ends cover an inf on
+        # the p >= 0 or p = p_max boundary
+        p = np.linspace(ps[max(i - 1, 0)], ps[min(i + 1, len(ps) - 1)], 513)
+        return float(np.min(p * h - zeta(law, p) + d))
 
     coarse = grid_min(grid)
     fine = grid_min(2 * grid)

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hscascade import hausdorff
+from hscascade.cli import eps_grid
 from hscascade.exponents import ScalingLaw, recurrence_residual
 from hscascade.generators import (
     LevyGenerator,
@@ -273,6 +275,34 @@ class TestSplitWidthInversion:
             split_width_for_epsilon(SL_LP, 0.5, 3, 1e-30)
         with pytest.raises(ValueError, match="unreachable"):
             split_width_for_epsilon(SL_LP, 0.5, 3, math.nan)
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
+    def test_non_positive_or_non_finite_target_unreachable(self, eps):
+        with pytest.raises(ValueError, match="unreachable"):
+            split_width_for_epsilon(SL_LP, 0.5, 3, eps)
+
+    def test_readme_sweep_residual_budget(self, monkeypatch):
+        # ln epsilon is close to linear in ln s, so the root finder needs ~10 residuals a target
+        calls = []
+        residual = hausdorff.a1_residual_vs_reference
+
+        def counted(*args):
+            calls.append(args)
+            return residual(*args)
+
+        monkeypatch.setattr(hausdorff, "a1_residual_vs_reference", counted)
+        for eps in eps_grid("1e-1:1e-6"):
+            s = split_width_for_epsilon(SL_LP, 0.5, 3, eps)
+            got = residual(split_perturbation(SL_LP, 3, s), SL_LP, 0.5, 3, 40)
+            assert got == pytest.approx(eps, rel=1e-9)
+        assert len(calls) <= 66
+
+    def test_m_max_reported_as_given(self):
+        with pytest.raises(ValueError, match="m_max must be >= 1, got 0"):
+            split_width_for_epsilon(SL_LP, 0.5, 3, 1e-3, m_max=0)
+        with pytest.raises(ValueError, match="m_max must be >= 1, got 0"):
+            verify_stability(split_perturbation(SL_LP, 3, 0.01), SL_LP, 0.5, 3, m_max=0)
+        assert a1_residual_vs_reference(split_perturbation(SL_LP, 3, 0.01), SL_LP, 0.5, 3, 1) > 0.0
 
 
 @st.composite

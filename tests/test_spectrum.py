@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import optimize
 
 from hscascade.exponents import ScalingLaw, spectrum_width, zeta
 from hscascade.spectrum import _order_grid, f_closed, f_legendre, h_interval, spectrum_curve
@@ -64,6 +63,15 @@ class TestClosedForm:
         with pytest.raises(ValueError, match="support dimension d must be > 0"):
             call(d)
 
+    @pytest.mark.parametrize("call", [
+        lambda: f_closed(SL, math.inf, h_interval(SL)[1]),
+        lambda: f_legendre(SL, math.inf, h_interval(SL)[1]),
+        lambda: spectrum_curve(SL, math.inf, 11),
+    ], ids=["f_closed", "f_legendre", "spectrum_curve"])
+    def test_rejects_infinite_dimension(self, call):
+        with pytest.raises(ValueError, match="support dimension d must be > 0 and finite"):
+            call()
+
 
 class TestLegendreOracle:
     def test_agrees_with_closed_form(self):
@@ -86,6 +94,28 @@ class TestLegendreOracle:
         with pytest.raises(ValueError, match="p_max"):
             f_legendre(SL, 1.0, 0.3, p_max=1.0)
 
+    def test_refinement_accuracy(self):
+        # the cell-pair refinement lands within 1e-10 of the closed form away from the
+        # left end, where the inf runs off to p = infinity and the truncation sets the error
+        rng = np.random.default_rng(5)
+        worst = 0.0
+        for _ in range(50):
+            law = random_law(rng)
+            h_min, h_max = h_interval(law)
+            for h in np.linspace(h_min, h_max, 51)[1:]:
+                worst = max(worst, abs(f_legendre(law, 1.0, h) - f_closed(law, 1.0, h)))
+        assert worst <= 1e-10
+
+    @pytest.mark.parametrize("grid", [0, 1, -3, 2.5, True, "100"])
+    def test_rejects_bad_grid(self, grid):
+        with pytest.raises(ValueError, match="grid must be an int >= 2"):
+            f_legendre(SL, 1.0, 0.3, grid=grid)
+
+    @pytest.mark.parametrize("p_max", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_rejects_bad_p_max(self, p_max):
+        with pytest.raises(ValueError, match="p_max must be finite and > 0"):
+            f_legendre(SL, 1.0, 0.3, p_max=p_max)
+
 
 def reference_f_legendre(law, d, h, p_max=None, grid=10_000):
     """f_legendre before its order grids were memoized: zeta is evaluated on both grids per call."""
@@ -98,9 +128,8 @@ def reference_f_legendre(law, d, h, p_max=None, grid=10_000):
     def grid_min(n):
         ps = np.concatenate([[0.0], np.exp(np.linspace(math.log(1e-6), math.log(p_max), n))])
         i = int(np.argmin(objective(ps)))
-        lo, hi = ps[max(i - 1, 0)], ps[min(i + 1, len(ps) - 1)]
-        res = optimize.minimize_scalar(objective, bounds=(lo, hi), method="bounded")
-        return min(res.fun, objective(lo), objective(hi))
+        p = np.linspace(ps[max(i - 1, 0)], ps[min(i + 1, len(ps) - 1)], 513)
+        return float(np.min(objective(p)))
 
     coarse = grid_min(grid)
     fine = grid_min(2 * grid)
