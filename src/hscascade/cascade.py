@@ -135,7 +135,7 @@ class StructureTable:
 
     @classmethod
     def from_csv(cls, path) -> "StructureTable":
-        meta, rows = _read_csv(path, ("p", "n", "ln_S", "se"), cell=float)
+        meta, rows = _read_csv(path, ("p", "n", "ln_S", "se"), cell=(float, _level, float, float))
         arr = np.asarray(rows, dtype=float)
         return cls(p=arr[:, 0], n=arr[:, 1].astype(int), ln_s=arr[:, 2], se=arr[:, 3], metadata=meta)
 
@@ -210,11 +210,21 @@ def _uncell(text: str):
     return None if word == "" else float(word)
 
 
+def _level(text: str) -> int:
+    """A level n cell: an integral number that fits a non-negative int64."""
+    n = float(text)
+    if not (0 <= n < 2**63 and n.is_integer()):  # NaN fails the first test
+        raise ValueError(f"level n must be an integer in [0, 2**63), got {text.strip()!r}")
+    return int(n)
+
+
 def _read_csv(path, expected_header, cell=_uncell):
     """Read back what write_csv writes: (metadata, rows), each cell parsed by `cell`.
 
-    The numeric tables pass cell=float, so a word or an empty cell is an error there.
+    `cell` is one parser for every column, or a tuple of one per column.  The numeric
+    tables parse with float, so a word or an empty cell is an error there.
     """
+    cells = cell if isinstance(cell, tuple) else (cell,) * len(expected_header)
     meta = {}
     with nullcontext(path) if hasattr(path, "read") else open(path) as fh:
         lines = fh.read().splitlines()
@@ -235,7 +245,7 @@ def _read_csv(path, expected_header, cell=_uncell):
         if len(parts) != len(expected_header):
             raise ValueError(f"row {ln_no}: expected {len(expected_header)} columns, got {len(parts)}")
         try:
-            rows.append([cell(v) for v in parts])
+            rows.append([parse(v) for parse, v in zip(cells, parts)])
         except ValueError as exc:
             raise ValueError(f"row {ln_no}: {exc}") from None
     if not rows:
@@ -308,7 +318,8 @@ def simulate(config: SimConfig, gen) -> StructureTable:
         branch = None
         for row in _sample_rows(gen, nl, ns, config.seed):
             if branch is not None:
-                row += branch
+                with np.errstate(over="ignore"):  # the cells report a non-finite level
+                    row += branch
             branch = row
             if len(futures) >= 2:
                 futures[-2].result()  # level n-2 is done before level n is queued

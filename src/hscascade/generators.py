@@ -242,16 +242,13 @@ def sample_logW(gen, count: int, seed: int) -> np.ndarray:
     sized from one jump table, the atom locations followed by a NaN slot
     for a StableTail, at an index drawn from the categorical law of the
     cumulative rates by an exact bucketed search; the tail's slots are
-    filled by an inverse-CDF draw.  A table of the tail alone draws no
-    index, and a table of one atom and no tail draws nothing after the
-    counts: a sample with j jumps gets the j-th prefix sum
-    x + x + ... + x, the same left-to-right sum as the general path, so
-    one atom (x, w) and two atoms (x, w/2) give the same bytes.  The
-    drift, or a normal drawn about it, is added to the jump sum last.
-    This is the one-row case of _sample_rows, which draws in blocks of
-    _BLOCK samples on the one-atom path and of max(1, int(_BLOCK / rate))
-    samples, about _BLOCK jumps on average, on the general path, so
-    memory is the output plus O(one block).
+    filled by an inverse-CDF draw, and each sample sums its jumps left to
+    right from 0.0.  A table of the tail alone draws no index, and a
+    table of at most one atom x and no tail draws nothing after the
+    counts: a sample with N jumps gets the jump sum N * x, one correctly
+    rounded product (0.0 with no atom).  The drift, or a normal drawn
+    about it, is added to the jump sum last.  This is the one-row case of
+    _sample_rows, so memory is the output plus O(one block).
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -309,26 +306,14 @@ def _sample_rows(gen, rows: int, cols: int, seed: int):
 
     Each random component reads its own stream (see sample_logW) in
     row-major order, so the rows concatenated are
-    sample_logW(gen, rows * cols, seed) byte for byte; consecutive calls
-    on one Generator give the values of one large call.  The counts are
-    Generator.poisson's below a total rate of _TABLE_RATE; from there up
-    one pdtr table over the window is built per call, and each count is
-    _bucketed_pick of one uniform on it (see sample_logW).  A window
-    past _MAX_COUNT raises ValueError at the first draw.  Each row is
-    filled block by block, and each block draws its counts, then its
-    jump sums, then adds the drift or its normals.  With at most one
-    atom and no tail a block is _BLOCK samples and gathers the prefix
-    sums of the atom from one table.  Any other table makes a block of
-    max(1, int(_BLOCK / max(rate, 1))) samples, which holds
-    Poisson(width * rate) jumps: about _BLOCK on average, or one
-    sample's from a rate of _BLOCK up.  It picks each jump's slot by
-    _bucketed_pick and sums each sample's jumps with one bincount.  A
-    table of the tail alone draws no jump uniforms: every pick would be
-    its one slot.  Every sample sums its jumps left to right from 0.0,
-    then adds the drift (or drift + normal) last; IEEE addition is
-    commutative, and LevyGenerator stores its drift without a negative
-    zero, so each sample's bytes are those of drift + normal + jumps.
-    Memory is the row being filled plus O(one block).
+    sample_logW(gen, rows * cols, seed) byte for byte.  Each row is
+    filled block by block: a block draws its counts, then its jump sums,
+    then adds the drift or its normals.  With at most one atom and no
+    tail a block is _BLOCK samples, and holds no jumps.  Any other table
+    makes a block of max(1, int(_BLOCK / max(rate, 1))) samples, which
+    holds Poisson(width * rate) jumps: about _BLOCK on average, or one
+    sample's from a rate of _BLOCK up.  Memory is the row being filled
+    plus O(one block).
     """
     g = as_levy(gen)
     bits = np.random.Philox(key=int(seed))
@@ -360,7 +345,7 @@ def _sample_rows(gen, rows: int, cols: int, seed: int):
     else:
         def draw_counts(n):
             return counts.poisson(rate, size=n)
-    prefix_path = len(table) <= 1 and tail is None  # at most one atom, and no tail
+    one_atom = len(table) <= 1 and tail is None  # at most one atom, and no tail
     tail_only = tail is not None and not g.atoms
     if tail is not None:
         lo, hi, a = tail.x_min ** -tail.alpha, tail.x_max ** -tail.alpha, tail.alpha
@@ -373,8 +358,9 @@ def _sample_rows(gen, rows: int, cols: int, seed: int):
             np.subtract(lo, v, out=v)
             v **= -1.0 / a
             return np.negative(v, out=v)
-    if prefix_path:
+    if one_atom:
         width = _BLOCK  # a block holds no jumps
+        x = table[0] if table else 0.0
     else:
         # a block of `width` samples holds Poisson(width * rate) jumps: at most _BLOCK on
         # average, or one sample's jumps from rate _BLOCK up
@@ -388,14 +374,8 @@ def _sample_rows(gen, rows: int, cols: int, seed: int):
         for s in range(0, cols, width):
             block = out[s:s + width]
             nj = draw_counts(len(block))
-            if prefix_path:  # a sample with j jumps gets the j-th prefix sum x + ... + x
-                prefix = np.empty(int(nj.max()) + 1)
-                prefix[0] = 0.0
-                prefix[1:] = table  # [x], or [] when there is no atom and every count is 0
-                np.cumsum(prefix, out=prefix)
-                # "clip" never clips here and, unlike "raise", writes out unbuffered
-                np.take(prefix, nj, out=block, mode="clip")
-                del prefix  # before the next block's table allocates
+            if one_atom:
+                np.multiply(nj, x, out=block)
             else:
                 jumps = int(nj.sum())
                 if tail_only:
@@ -410,6 +390,8 @@ def _sample_rows(gen, rows: int, cols: int, seed: int):
                 # call would; with no jump in the block bincount returns int64 zeros
                 block[:] = np.bincount(np.repeat(owner[:len(block)], nj), weights=sizes,
                                        minlength=len(block))
+            # 0 * x may be -0.0, and LevyGenerator stores no -0.0 drift, so adding the
+            # drift last gives the bytes of drift + normal + jumps
             block += (normals.normal(g.drift, math.sqrt(g.sigma2), len(block)) if g.sigma2 > 0
                       else g.drift)
         nj = sizes = None  # free the last block's counts and jumps while the row is in use

@@ -257,14 +257,21 @@ def verify_stability(
 
 
 def empirical_w1_multipliers(gen_a, gen_b, n_samples: int, seed: int) -> float:
-    """Order-statistics estimate of W1 between the two multiplier laws."""
+    """Order-statistics estimate of W1 between the two multiplier laws.
+
+    Raises OverflowError when a sampled W = exp(log W) is not finite.
+    """
     if n_samples < 10_000:
         raise ValueError(f"n_samples must be >= 10000, got {n_samples}")
 
     def sorted_multipliers(gen):  # W = exp(log W), sorted in the sampled array
         w = sample_logW(gen, n_samples, seed)
-        np.exp(w, out=w)
+        with np.errstate(over="ignore"):  # reported below
+            np.exp(w, out=w)
         w.sort()
+        if not np.isfinite(w[-1]):  # sorted, so an inf or a NaN is last
+            raise OverflowError("a sampled multiplier W = exp(log W) is not finite: "
+                                "log W is too large")
         return w
 
     wa = sorted_multipliers(gen_a)

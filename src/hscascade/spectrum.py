@@ -131,6 +131,8 @@ class SpectrumCurve:
 
 def spectrum_curve(law: ScalingLaw, d: float, n_points: int) -> SpectrumCurve:
     """Tabulate (h, f) across the spectrum interval, endpoints included."""
+    if isinstance(n_points, bool) or not isinstance(n_points, int):
+        raise ValueError(f"n_points must be an int, got {n_points!r}")
     if n_points < 2:
         raise ValueError(f"n_points must be >= 2, got {n_points}")
     h_min, h_max = h_interval(law)

@@ -285,7 +285,7 @@ class TestMemory:
     law, 4 x for a stable tail, 10 x for 200 atoms at 50 jumps per draw, 3.5 x for a W1
     pair, 15 x one level for simulate on a stable tail at 16 levels, and 8 x and 7 x for
     simulate on a Gaussian part without and with an atom at 16 levels. One atom near the
-    rate cap holds one prefix table, within 1.25 x 8 B x the top of its counts window."""
+    rate cap holds no table that grows with the count: 32 MB for ten draws."""
 
     def traced_peak(self, run):
         tracemalloc.start()
@@ -344,12 +344,12 @@ class TestMemory:
         peak = self.traced_peak(lambda: sample_logW(gen, 200_000, 0))
         assert peak <= 10 * 8 * 200_000
 
-    def test_sample_logW_one_prefix_table_near_the_rate_cap(self):
-        # the prefix table is filled and summed in one array (2.07 x with a copy beside it)
-        rate = 1.6e7
-        gen = LevyGenerator(atoms=((-1e-3, rate),))
+    def test_sample_logW_one_atom_near_the_rate_cap_holds_no_table(self):
+        # what is left is the count table's 2**20-bucket guide (25.5 MB; a prefix table of
+        # the atom's partial sums held 131.6 MB)
+        gen = LevyGenerator(atoms=((-1e-3, 1.6e7),))
         peak = self.traced_peak(lambda: sample_logW(gen, 10, 0))
-        assert peak <= 1.25 * 8 * (rate + 12 * math.sqrt(rate) + 40)
+        assert peak <= 32 * 2**20
 
     def test_w1_pair_in_place(self):
         # exp, sort and difference run in the two sampled arrays (4.90 x with copies)
@@ -589,6 +589,14 @@ class TestCsvRoundTrip:
         assert np.array_equal(back.ln_s, table.ln_s)
         assert np.array_equal(back.se, table.se)
         assert back.metadata == table.metadata
+
+    @pytest.mark.parametrize("level", ["nan", "inf", "-inf", "2.5", "-3", "1e300"])
+    def test_structure_table_rejects_a_bad_level(self, level):
+        # 1e300 is an integer, but past int64
+        text = f"# {{}}\np,n,ln_S,se\n3,1,-0.5,0.01\n3,{level},-1.0,0.01\n"
+        with pytest.raises(ValueError, match=re.escape(
+                f"row 4: level n must be an integer in [0, 2**63), got {level!r}")):
+            StructureTable.from_csv(io.StringIO(text))
 
     def test_zeta_estimate(self, tmp_path):
         table = exact_table(SL, 0.5, 5, (0.0, 3.0, 6.0))

@@ -138,6 +138,12 @@ class TestOutOfRangeParameters:
           "--samples", "100"], "ValueError", "cap of 16777216 jumps per sample"),
         (["simulate", "--beta", "2/3", "--bigC", "1e9", "--r", "0.5", "--levels", "2",
           "--samples", "100"], "ValueError", "cap of 16777216 jumps per sample"),
+        # log Phi overflows when the levels are added, before any cell sees them
+        (["simulate", "--beta", "2/3", "--bigC", "2", "--gamma", "1e308", "--k", "3", "--r", "0.5",
+          "--levels", "3", "--samples", "200"], "OverflowError", "jackknife error is not finite"),
+        (["stability", "--beta", "2/3", "--bigC", "2", "--gamma", "-2000", "--k", "3", "--r", "0.5",
+          "--eps-grid", "1e-1:1e-2", "--samples", "10000"], "OverflowError",
+         "W = exp(log W) is not finite"),
     ])
     def test_exits_1_with_json_stderr(self, capsys, tmp_path, monkeypatch, argv, error, message):
         monkeypatch.chdir(tmp_path)

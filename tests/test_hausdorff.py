@@ -248,6 +248,14 @@ class TestEmpiricalW1:
         with pytest.raises(ValueError, match="10000"):
             empirical_w1_multipliers(SL_LP, SL_LP, 100, seed=0)
 
+    def test_rejects_an_infinite_multiplier(self):
+        # drift 3000: every W = exp(log W) overflows
+        huge = LevyGenerator(drift=3000.0)
+        with pytest.raises(OverflowError, match="W = exp\\(log W\\) is not finite"):
+            empirical_w1_multipliers(huge, SL_LP, 10_000, seed=0)
+        with pytest.raises(OverflowError, match="W = exp\\(log W\\) is not finite"):
+            empirical_w1_multipliers(SL_LP, huge, 10_000, seed=0)
+
     def test_split_tracks_levy_w1(self):
         s = 0.1
         gen = split_perturbation(SL_LP, 3, s)

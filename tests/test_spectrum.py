@@ -212,8 +212,11 @@ class TestCurve:
         assert list(curve.h) == list(h_interval(SL))
 
     def test_rejects_single_point(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n_points must be >= 2, got 1"):
             spectrum_curve(SL, 1.0, 1)
+        for n_points in (2.5, "3", True, None):
+            with pytest.raises(ValueError, match=f"n_points must be an int, got {n_points!r}"):
+                spectrum_curve(SL, 1.0, n_points)
 
     def test_csv_format(self, tmp_path):
         path = tmp_path / "spectrum.csv"
