@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -142,7 +143,7 @@ class StructureTable:
 
 @dataclass(frozen=True)
 class ZetaEstimate:
-    """Estimated scaling exponents (p, zeta_hat, se).
+    """Estimated scaling exponents (p, zeta_hat, se) at distinct orders p >= 0.
 
     `cov`, when given, is the covariance of zeta_hat over the orders
     (sqrt of its diagonal is se).  A CSV carries it under "cov" in its
@@ -157,6 +158,12 @@ class ZetaEstimate:
     cov: np.ndarray | None = None
 
     def __post_init__(self):
+        seen = set()
+        for p in np.asarray(self.p, dtype=float).tolist():
+            _check_order(p)  # the message names the order
+            if p in seen:
+                raise ValueError(f"order p = {p} appears in more than one row")
+            seen.add(p)
         _check_stderr(self.se)
         if isinstance(self.metadata, dict) and "cov" in self.metadata:
             raise ValueError("metadata: the key 'cov' is reserved for the covariance")
@@ -179,7 +186,7 @@ class ZetaEstimate:
     def from_csv(cls, path) -> "ZetaEstimate":
         meta, rows = _read_csv(path, ("p", "zeta_hat", "se"), cell=float)
         arr = np.asarray(rows, dtype=float)
-        cov = meta.pop("cov", None) if isinstance(meta, dict) else None
+        cov = meta.pop("cov", None)
         return cls(p=arr[:, 0], zeta_hat=arr[:, 1], se=arr[:, 2], metadata=meta, cov=cov)
 
 
@@ -231,6 +238,8 @@ def _read_csv(path, expected_header, cell=_uncell):
     i = 0
     if lines and lines[0].startswith("#"):
         meta = json.loads(lines[0][1:].strip() or "{}")
+        if not isinstance(meta, dict):
+            raise ValueError(f"the '#' line must hold a JSON object, got {type(meta).__name__}")
         i = 1
     if i == len(lines):
         raise ValueError("empty CSV: no header line")
@@ -353,8 +362,9 @@ def estimate_zeta(table: StructureTable) -> ZetaEstimate:
     errors as if levels were independent, and its estimate has no cov.
     """
     r = table.metadata.get("r")
-    if r is None or not (0.0 < r < 1.0):
-        raise ValueError("structure table metadata must carry the scale ratio r")
+    if isinstance(r, bool) or not isinstance(r, numbers.Real) or not 0.0 < r < 1.0:
+        raise ValueError(f"structure table metadata must carry the scale ratio r in (0, 1), "
+                         f"got {r!r}")
     ln_r = math.log(r)
 
     reps = table.replicates
@@ -406,8 +416,7 @@ def estimate_deltas(zeta: ZetaEstimate, k: int) -> DeltaSeries:
     """
     if k < 1:
         raise ValueError(f"hierarchy step k must be >= 1, got {k}")
-    orders, first = np.unique(zeta.p, return_index=True)
-    row = dict(zip(orders.tolist(), first.tolist()))  # order -> its first row
+    row = {p: i for i, p in enumerate(zeta.p.tolist())}  # ZetaEstimate's orders are distinct
     rows = []
     while len(rows) * k in row:  # the run of orders 0, k, 2k, ...
         rows.append(row[len(rows) * k])

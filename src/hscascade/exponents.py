@@ -51,25 +51,18 @@ def _check_beta(beta: float) -> float:
     return beta
 
 
-def _check_dimension(d: float) -> None:
-    if not 0 < d < math.inf:
-        raise ValueError(f"support dimension d must be > 0 and finite, got {d}")
-
-
 @dataclass(frozen=True)
 class CascadeParams:
-    """Scale ratio r, hierarchy step k, and support dimension d."""
+    """Scale ratio r and hierarchy step k."""
 
     r: float
     k: int = 1
-    d: float = 1.0
 
     def __post_init__(self):
         if not (0.0 < self.r < 1.0):
             raise ValueError(f"scale ratio r must lie in (0,1), got {self.r}")
         if int(self.k) != self.k or self.k < 1:
             raise ValueError(f"hierarchy step k must be a positive integer, got {self.k}")
-        _check_dimension(self.d)
         object.__setattr__(self, "k", int(self.k))
 
 

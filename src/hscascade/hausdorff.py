@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy import optimize
@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 _TAIL_NODES = 512
+_M_MAX = 40  # epsilon is the sup of the recurrence residual over m = 0.._M_MAX
 
 
 @dataclass(frozen=True)
@@ -95,16 +96,7 @@ class StabilityReport:
     metadata: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "epsilon": self.epsilon,
-            "big_k": self.big_k,
-            "w1_levy": self.w1_levy,
-            "bound_ok": self.bound_ok,
-            "w1_multiplier": self.w1_multiplier,
-            "eta_mass_gap": self.eta_mass_gap,
-            "metadata": self.metadata,
-        }
+        return {"schema_version": 1, **asdict(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -222,21 +214,21 @@ def verify_stability(
     gen_ref: LogPoissonParams,
     r: float,
     k: int,
-    m_max: int = 40,
     n_samples: int | None = None,
     seed: int = 0,
 ) -> StabilityReport:
     """Check the K*sqrt(epsilon) Wasserstein bound for a perturbed generator.
 
     epsilon is the sup-norm recurrence residual of the perturbed
-    analytic delta series against the reference parameters; w1_levy is
+    analytic delta series against the reference parameters, over the
+    orders m = 0.._M_MAX (40, reported as metadata["m_max"]); w1_levy is
     the exact transport distance between the normalized eta measure and
     the point mass at beta.  When n_samples is given, the sampled
     multiplier-level distance is attached as well.
     """
     beta = math.exp(gen_ref.b * k)
     A = gen_ref.lam * (beta - 1.0)
-    eps = a1_residual_vs_reference(gen_perturbed, gen_ref, r, k, m_max)
+    eps = a1_residual_vs_reference(gen_perturbed, gen_ref, r, k, _M_MAX)
     nu_tilde = pushforward_to_unit(gen_perturbed, k)
     _, eta, _ = rho_eta(nu_tilde)
     w1 = w1_unit(eta.normalized(), point_mass(beta))
@@ -252,7 +244,7 @@ def verify_stability(
         bound_ok=bound_ok,
         w1_multiplier=w1_mult,
         eta_mass_gap=eta.mass - abs(A),
-        metadata={"r": r, "k": k, "beta": beta, "A": A, "m_max": m_max},
+        metadata={"r": r, "k": k, "beta": beta, "A": A, "m_max": _M_MAX},
     )
 
 
@@ -329,14 +321,14 @@ def smear_perturbation(
     return LevyGenerator(drift=ref.a, atoms=atoms)
 
 
-def split_width_for_epsilon(
-    ref: LogPoissonParams, r: float, k: int, eps_target: float, m_max: int = 40
-) -> float:
+def split_width_for_epsilon(ref: LogPoissonParams, r: float, k: int, eps_target: float) -> float:
     """Invert s -> epsilon(s) for the symmetric-split family.
 
-    Brent's root finder (brentq) runs on ln epsilon(s) - ln eps_target in
-    ln s over [1e-12, 0.999*min(beta, 1-beta)], where epsilon is close to
-    a power of s; a target outside the epsilon range of that bracket is
+    epsilon is verify_stability's: the recurrence residual over the
+    orders m = 0.._M_MAX.  Brent's root finder (brentq) runs on
+    ln epsilon(s) - ln eps_target in ln s over
+    [1e-12, 0.999*min(beta, 1-beta)], where epsilon is close to a power
+    of s; a target outside the epsilon range of that bracket is
     unreachable.
     """
     if not 0.0 < eps_target < math.inf:  # also rejects a nan target
@@ -346,7 +338,7 @@ def split_width_for_epsilon(
 
     def excess(ln_s):
         pert = split_perturbation(ref, k, math.exp(ln_s))
-        eps = a1_residual_vs_reference(pert, ref, r, k, m_max)
+        eps = a1_residual_vs_reference(pert, ref, r, k, _M_MAX)
         return math.log(max(eps, 1e-300)) - ln_target  # a residual can round to 0 at tiny s
 
     lo, hi = math.log(1e-12), math.log(min(beta, 1.0 - beta) * 0.999)

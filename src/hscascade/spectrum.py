@@ -19,9 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cascade import write_csv
-from .exponents import ScalingLaw, _check_dimension, spectrum_width, zeta
+from .exponents import ScalingLaw, spectrum_width, zeta
 
 __all__ = ["SpectrumCurve", "f_closed", "f_legendre", "spectrum_curve", "h_interval"]
+
+
+def _check_dimension(d: float) -> None:
+    if not 0 < d < math.inf:
+        raise ValueError(f"support dimension d must be > 0 and finite, got {d}")
 
 
 def h_interval(law: ScalingLaw) -> tuple:
@@ -49,54 +54,45 @@ def f_closed(law: ScalingLaw, d: float, h: float) -> float:
 
 
 @functools.lru_cache(maxsize=4)
-def _order_grid(law: ScalingLaw, p_max: float, n: int) -> tuple:
+def _order_grid(law: ScalingLaw, n: int) -> tuple:
     """Orders 0 and n log-spaced in [1e-6, p_max], and zeta at each, as read-only arrays.
 
-    f_legendre asks for the same two grids at every h, and they depend
-    on the law alone.  Four entries hold both grids of the last two laws
-    (~1 MB at the default grid).
+    p_max is large enough that beta**(p_max/k) < 1e-8.  f_legendre asks
+    for the same two grids at every h, and they depend on the law alone.
+    Four entries hold both grids of the last two laws (~1 MB).
     """
+    p_max = 1.05 * law.k * math.log(1e-8) / math.log(law.beta)
     ps = np.concatenate([[0.0], np.exp(np.linspace(math.log(1e-6), math.log(p_max), n))])
     zs = zeta(law, ps)
     ps.flags.writeable = zs.flags.writeable = False
     return ps, zs
 
 
-def f_legendre(
-    law: ScalingLaw, d: float, h: float, p_max: float | None = None, grid: int = 10_000
-) -> float:
+def f_legendre(law: ScalingLaw, d: float, h: float) -> float:
     """Numerical inf_p [p*h - zeta_p + d] over p >= 0; oracle for f_closed.
 
-    The best of `grid` log-spaced orders is refined by evaluating the
-    objective at 513 equally spaced orders on the two cells around it,
-    ends included (one vectorized zeta call); the objective is convex
-    there because zeta is concave.  The search is repeated on a doubled
-    grid and a shift of the inf by more than 1e-6 is an error.  The
-    grids and zeta on them depend only on (law, p_max, grid) and are
+    The best of 10^4 log-spaced orders in [1e-6, p_max], with p_max set
+    by the law so that beta**(p_max/k) < 1e-8, is refined by evaluating
+    the objective at 513 equally spaced orders on the two cells around
+    it, ends included (one vectorized zeta call); the objective is
+    convex there because zeta is concave.  The search is repeated on a
+    grid of 2*10^4 orders and a shift of the inf by more than 1e-6 is an
+    error.  The grids and zeta on them depend only on the law and are
     memoized, so a sweep over h evaluates zeta on them once per law.
     """
     _check_dimension(d)
     _x_of(law, h)  # domain check
-    if isinstance(grid, bool) or not isinstance(grid, int) or grid < 2:
-        raise ValueError(f"grid must be an int >= 2, got {grid!r}")
-    if p_max is None:
-        # large enough that beta**(p_max/k) < 1e-8
-        p_max = 1.05 * law.k * math.log(1e-8) / math.log(law.beta)
-    if not (math.isfinite(p_max) and p_max > 0):
-        raise ValueError(f"p_max must be finite and > 0, got {p_max}")
-    if law.beta ** (p_max / law.k) >= 1e-8:
-        raise ValueError(f"p_max = {p_max} too small for the requested accuracy")
 
     def grid_min(n):
-        ps, zs = _order_grid(law, float(p_max), n)
+        ps, zs = _order_grid(law, n)
         i = int(np.argmin(ps * h - zs + d))
         # the cell pair around the best node; its ends cover an inf on
         # the p >= 0 or p = p_max boundary
         p = np.linspace(ps[max(i - 1, 0)], ps[min(i + 1, len(ps) - 1)], 513)
         return float(np.min(p * h - zeta(law, p) + d))
 
-    coarse = grid_min(grid)
-    fine = grid_min(2 * grid)
+    coarse = grid_min(10_000)
+    fine = grid_min(20_000)
     if abs(coarse - fine) > 1e-6:
         raise ValueError("Legendre grid too coarse: doubling the grid moved the inf by > 1e-6")
     return fine

@@ -674,6 +674,37 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match=message):
             ZetaEstimate.from_csv(io.StringIO(text))
 
+    @pytest.mark.parametrize("orders, message", [
+        ((0.0, 3.0, 3.0, 6.0), "order p = 3.0 appears in more than one row"),
+        ((0.0, 3.0, -0.0), "order p = -0.0 appears in more than one row"),
+        ((0.0, -3.0, 3.0), "moment order must be finite and >= 0, got -3.0"),
+        ((math.nan, 3.0, 6.0), "moment order must be finite and >= 0, got nan"),
+        ((0.0, 3.0, math.inf), "moment order must be finite and >= 0, got inf"),
+    ])
+    def test_rejects_repeated_negative_or_non_finite_orders(self, orders, message):
+        # two rows at one order leave estimate_deltas no single row to read
+        text = "# {}\np,zeta_hat,se\n" + "".join(f"{p},{p / 3},0.01\n" for p in orders)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ZetaEstimate.from_csv(io.StringIO(text))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ZetaEstimate(p=np.array(orders), zeta_hat=np.zeros(len(orders)),
+                         se=np.zeros(len(orders)))
+
+    @pytest.mark.parametrize("meta, message", [
+        ("[0.5]", "the '#' line must hold a JSON object, got list"),
+        ('"r"', "the '#' line must hold a JSON object, got str"),
+        ("{}", "scale ratio r in (0, 1), got None"),
+        ('{"r": "0.5"}', "scale ratio r in (0, 1), got '0.5'"),
+        ('{"r": true}', "scale ratio r in (0, 1), got True"),
+        ('{"r": [0.5]}', "scale ratio r in (0, 1), got [0.5]"),
+        ('{"r": 1.5}', "scale ratio r in (0, 1), got 1.5"),
+    ])
+    def test_rejects_bad_metadata(self, meta, message):
+        # a ValueError, which the CLI reports as JSON, not an AttributeError or a TypeError
+        text = f"# {meta}\np,n,ln_S,se\n0,1,0,0\n3,1,-0.5,0.01\n3,2,-1,0.01\n3,3,-1.5,0.01\n"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            estimate_zeta(StructureTable.from_csv(io.StringIO(text)))
+
     @pytest.mark.parametrize("bad", [-0.02, math.nan, math.inf])
     def test_rejects_negative_or_non_finite_se(self, bad):
         # estimate_deltas combines errors with math.hypot, which would drop the sign
@@ -733,6 +764,9 @@ class TestCsvRoundTripProperties:
            with_cov=st.booleans())
     def test_zeta_estimate(self, n_rows, data, meta, with_cov):
         column = hnp.arrays(float, n_rows, elements=FLOATS)
+        # ZetaEstimate rejects a repeated, negative or non-finite order; -0.0 is still drawn
+        orders = hnp.arrays(float, n_rows, unique=True, elements=st.floats(
+            min_value=-0.0, allow_infinity=False, allow_subnormal=True))
         # ZetaEstimate rejects a negative se; -0.0 and subnormals are still drawn
         errors = hnp.arrays(float, n_rows, elements=st.floats(min_value=-0.0, allow_infinity=False,
                                                               allow_subnormal=True))
@@ -742,7 +776,7 @@ class TestCsvRoundTripProperties:
             cov = np.where(np.tri(n_rows, k=-1, dtype=bool), upper.T, upper)
             np.fill_diagonal(cov, se)
             se = np.sqrt(cov.diagonal())
-        z = ZetaEstimate(p=data.draw(column), zeta_hat=data.draw(column), se=se, metadata=meta,
+        z = ZetaEstimate(p=data.draw(orders), zeta_hat=data.draw(column), se=se, metadata=meta,
                          cov=cov)
         back = ZetaEstimate.from_csv(round_trip(z.to_csv))
         for name in ("p", "zeta_hat", "se"):

@@ -246,6 +246,7 @@ class TestSimulateAnalyze:
          "not symmetric"),
         (ZETA_CSV.replace("# {}", "# " + json.dumps({"cov": np.where(COV > 0, COV, np.nan).tolist()})),
          "must be finite"),
+        (ZETA_CSV + "3,1.5,0.01\n", "order p = 3.0 appears in more than one row"),
     ])
     def test_empty_or_header_only_csv_exits_1_with_json_stderr(self, tmp_path, capsys, text,
                                                                 message):

@@ -229,13 +229,11 @@ class TestRecurrenceVsClosedForm:
 
 class TestTypes:
     def test_cascade_params_validation(self):
-        CascadeParams(r=0.5, k=3, d=2.0)
+        CascadeParams(r=0.5, k=3)
         with pytest.raises(ValueError):
             CascadeParams(r=1.0)
         with pytest.raises(ValueError):
             CascadeParams(r=0.5, k=0)
-        with pytest.raises(ValueError):
-            CascadeParams(r=0.5, d=0.0)
 
     def test_scaling_law_validation(self):
         with pytest.raises(ValueError):

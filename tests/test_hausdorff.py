@@ -307,9 +307,7 @@ class TestSplitWidthInversion:
 
     def test_m_max_reported_as_given(self):
         with pytest.raises(ValueError, match="m_max must be >= 1, got 0"):
-            split_width_for_epsilon(SL_LP, 0.5, 3, 1e-3, m_max=0)
-        with pytest.raises(ValueError, match="m_max must be >= 1, got 0"):
-            verify_stability(split_perturbation(SL_LP, 3, 0.01), SL_LP, 0.5, 3, m_max=0)
+            a1_residual_vs_reference(split_perturbation(SL_LP, 3, 0.01), SL_LP, 0.5, 3, 0)
         assert a1_residual_vs_reference(split_perturbation(SL_LP, 3, 0.01), SL_LP, 0.5, 3, 1) > 0.0
 
 
