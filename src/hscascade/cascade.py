@@ -119,6 +119,12 @@ class StructureTable:
     replicates: np.ndarray | None = None
 
     def __post_init__(self):
+        seen = set()
+        for row in zip(np.asarray(self.p, dtype=float).tolist(), np.asarray(self.n).tolist()):
+            _check_order(row[0])  # the message names the order
+            if row in seen:
+                raise ValueError(f"order p = {row[0]} at level n = {row[1]} appears in more than one row")
+            seen.add(row)
         _check_stderr(self.se)
         if self.replicates is not None:
             shape = np.shape(self.replicates)

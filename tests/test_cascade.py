@@ -598,6 +598,20 @@ class TestCsvRoundTrip:
                 f"row 4: level n must be an integer in [0, 2**63), got {level!r}")):
             StructureTable.from_csv(io.StringIO(text))
 
+    @pytest.mark.parametrize("rows, message", [
+        ("3,1,-0.5,0.01\n3,1,-0.9,0.01", "order p = 3.0 at level n = 1 appears in more than one row"),
+        ("0,2,0,0\n-0.0,2,0,0", "order p = -0.0 at level n = 2 appears in more than one row"),
+        ("nan,1,-0.5,0.01", "moment order must be finite and >= 0, got nan"),
+        ("inf,1,-0.5,0.01", "moment order must be finite and >= 0, got inf"),
+        ("-inf,1,-0.5,0.01", "moment order must be finite and >= 0, got -inf"),
+        ("-3,1,-0.5,0.01", "moment order must be finite and >= 0, got -3.0"),
+    ], ids=["repeated", "repeated-signed-zero", "nan", "inf", "-inf", "negative"])
+    def test_structure_table_rejects_a_bad_row(self, rows, message):
+        # the same (p, n) measured twice, or an order no structure function has
+        text = f"# {{}}\np,n,ln_S,se\n3,2,-1.0,0.01\n{rows}\n"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            StructureTable.from_csv(io.StringIO(text))
+
     def test_zeta_estimate(self, tmp_path):
         table = exact_table(SL, 0.5, 5, (0.0, 3.0, 6.0))
         z = estimate_zeta(table)
@@ -745,11 +759,17 @@ class TestCsvRoundTripProperties:
     @given(n_rows=st.integers(1, 20), data=st.data(), meta=METADATA)
     def test_structure_table(self, n_rows, data, meta):
         column = hnp.arrays(float, n_rows, elements=FLOATS)
+        # StructureTable rejects a repeated (p, n) row and a negative or non-finite order;
+        # -0.0 is still drawn
+        rows = data.draw(st.lists(
+            st.tuples(st.floats(min_value=-0.0, allow_infinity=False, allow_subnormal=True),
+                      st.integers(0, 2**31)),
+            min_size=n_rows, max_size=n_rows, unique=True))
         # StructureTable rejects a negative se; -0.0 and subnormals are still drawn
         errors = hnp.arrays(float, n_rows, elements=st.floats(min_value=-0.0, allow_infinity=False,
                                                               allow_subnormal=True))
         table = StructureTable(
-            p=data.draw(column), n=data.draw(hnp.arrays(np.int64, n_rows, elements=st.integers(0, 2**31))),
+            p=np.array([p for p, _ in rows]), n=np.array([n for _, n in rows], dtype=np.int64),
             ln_s=data.draw(column), se=data.draw(errors), metadata=meta,
         )
         back = StructureTable.from_csv(round_trip(table.to_csv))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -53,6 +54,18 @@ class TestClosedForm:
         law = ScalingLaw(gamma=0.3, big_c=0.0, beta=0.5, k=1)
         with pytest.raises(ValueError, match="C = 0"):
             f_closed(law, 1.0, 0.3)
+
+    @pytest.mark.parametrize("call", [
+        lambda law: f_closed(law, 1.0, law.gamma),
+        lambda law: f_legendre(law, 1.0, law.gamma),
+        lambda law: spectrum_curve(law, 1.0, 11),
+    ], ids=["f_closed", "f_legendre", "spectrum_curve"])
+    def test_rejects_an_underflowing_width(self, call):
+        # C*|ln beta| rounds to 0, so x = k*(h - gamma)/(C*|ln beta|) would be 0/0
+        law = ScalingLaw(gamma=0.3, big_c=5e-324, beta=0.9, k=1)
+        with pytest.raises(ValueError, match=re.escape(
+                "spectrum width C*|ln beta|/k underflows to 0 for C = 5e-324")):
+            call(law)
 
     @pytest.mark.parametrize("d", [0.0, -1.0, math.nan])
     @pytest.mark.parametrize("call", [
@@ -111,6 +124,12 @@ class TestLegendreOracle:
         assert worst <= 1e-10
 
 
+def criterion_9_laws():
+    """The 20 laws of acceptance criterion 9: random_law drawn from seed 909."""
+    rng = np.random.default_rng(909)
+    return [random_law(rng) for _ in range(20)]
+
+
 def reference_f_legendre(law, d, h):
     """f_legendre before its order grids were memoized: zeta is evaluated on both grids per call."""
     p_max = 1.05 * law.k * math.log(1e-8) / math.log(law.beta)
@@ -165,10 +184,43 @@ class TestMemoizedGrid:
             assert outcome(lambda: f_legendre(law, d, h)) == outcome(
                 lambda: reference_f_legendre(law, d, h))
 
+    @pytest.mark.parametrize("law", [SL, *criterion_9_laws()])
+    def test_matches_reference_at_and_near_the_ends(self, law):
+        # h_max is the float plateau where the window search falls back to the full grid
+        h_min, h_max = h_interval(law)
+        for h in (h_min, h_max, h_min + 1e-9, h_max - 1e-9, h_min + 1e-12, h_max - 1e-12,
+                  h_max + 5e-13, np.nextafter(h_max, -math.inf)):
+            for d in (1.0, 3.0):
+                assert outcome(lambda: f_legendre(law, d, h)) == outcome(
+                    lambda: reference_f_legendre(law, d, h))
+
+    def test_matches_reference_on_criterion_9(self):
+        for law in criterion_9_laws():
+            h_min, h_max = h_interval(law)
+            for h in np.linspace(h_min, h_max, 102)[1:-1]:
+                assert outcome(lambda: f_legendre(law, 1.0, h)) == outcome(
+                    lambda: reference_f_legendre(law, 1.0, h))
+
+    def test_search_path(self, monkeypatch):
+        # interior h reads a 9-node window on each grid; at h_max the window (cut short
+        # by p = 0) is a plateau, and each grid is scanned in full (10^4 and 2*10^4
+        # orders plus p = 0)
+        sizes = []
+        argmin = np.argmin
+        monkeypatch.setattr(np, "argmin", lambda a: sizes.append(np.size(a)) or argmin(a))
+        h_min, h_max = h_interval(SL)
+        for h in np.linspace(h_min, h_max, 102)[1:-1]:
+            f_legendre(SL, 3.0, h)
+        assert sizes == [9] * 200
+        sizes.clear()
+        f_legendre(SL, 3.0, h_max)
+        assert len(sizes) == 4 and max(sizes[::2]) <= 9 and sizes[1::2] == [10_001, 20_001]
+
     def test_cached_arrays_are_read_only(self):
-        ps, zs = _order_grid(SL, 100)
+        ps, zs, slopes = _order_grid(SL, 100)
         assert _order_grid(SL, 100)[0] is ps
-        for array in (ps, zs):
+        assert slopes.tobytes() == (-np.diff(zs) / np.diff(ps)).tobytes()
+        for array in (ps, zs, slopes):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
 
@@ -205,6 +257,25 @@ class TestCurve:
         for n_points in (2.5, "3", True, None):
             with pytest.raises(ValueError, match=f"n_points must be an int, got {n_points!r}"):
                 spectrum_curve(SL, 1.0, n_points)
+
+    @settings(max_examples=60, deadline=None)
+    @given(gamma=st.floats(-10.0, 10.0), big_c=st.just(0.0) | st.floats(0.0, 10.0),
+           beta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), k=st.integers(1, 6),
+           d=st.floats(0.05, 10.0) | st.sampled_from([0.0, -1.0, math.inf, math.nan]),
+           n_points=st.integers(2, 1200))
+    def test_matches_f_closed(self, gamma, big_c, beta, k, d, n_points):
+        law = ScalingLaw(gamma=gamma, big_c=big_c, beta=beta, k=k)
+        try:
+            curve = spectrum_curve(law, d, n_points)
+        except ValueError as exc:
+            # f_closed's error at the first point, type and message
+            with pytest.raises(ValueError) as want:
+                f_closed(law, d, h_interval(law)[0])
+            assert (type(exc), str(exc)) == (want.type, str(want.value))
+            assert not 0 < d < math.inf or big_c * abs(math.log(beta)) == 0
+            return
+        want = np.array([f_closed(law, d, h) for h in curve.h])
+        assert curve.f.dtype == want.dtype and curve.f.tobytes() == want.tobytes()
 
     def test_csv_format(self, tmp_path):
         path = tmp_path / "spectrum.csv"
