@@ -38,7 +38,9 @@ def _check_order(p):
     """p as a float, or as a float array for array input; rejects nan, inf and p < 0."""
     scalar = isinstance(p, (int, float)) or np.ndim(p) == 0  # isinstance: fast path
     p = float(p) if scalar else np.asarray(p, dtype=float)
-    if not (0.0 <= p < math.inf if scalar else ((p >= 0) & (p < math.inf)).all()):
+    # initial=0.0 passes an empty array; a nan order makes both reductions nan
+    if not (0.0 <= p < math.inf if scalar else
+            p.min(initial=0.0) >= 0.0 and p.max(initial=0.0) < math.inf):
         raise ValueError(f"moment order must be finite and >= 0, got {p}")
     return p
 

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import pdtr
 
 from .exponents import DeltaSeries, ScalingLaw, _check_order
 
@@ -333,6 +332,8 @@ def _sample_rows(gen, rows: int, cols: int, seed: int):
         raise ValueError(f"total jump rate {rate:g} is too large: its Poisson counts reach past "
                          f"the cap of {_MAX_COUNT} jumps per sample")
     if rate >= _TABLE_RATE:
+        from scipy.special import pdtr  # here, so that a draw below the table rate loads no SciPy
+
         k_lo = max(0, math.floor(rate - spread))
         cdf = pdtr(np.arange(k_lo, math.ceil(rate + spread) + 1), rate)
         cdf[-1] = 1.0
@@ -407,13 +408,19 @@ def normalize_mean_one(gen):
     return replace(g, drift=g.drift - shift)
 
 
+def _carleman_terms(gen, P: int) -> np.ndarray:
+    """The terms of carleman_terms, where a term past the float range is inf."""
+    p2 = 2.0 * np.arange(1, P + 1)
+    with np.errstate(over="ignore"):
+        return np.exp(-ln_moment(gen, p2) / p2)
+
+
 def carleman_terms(gen, P: int) -> np.ndarray:
     """Terms (E[W^{2p}])**(-1/(2p)) for p = 1..P."""
     if P < 1:
         raise ValueError(f"P must be >= 1, got {P}")
-    p2 = 2.0 * np.arange(1, P + 1)
+    terms = _carleman_terms(gen, P)
     with np.errstate(over="ignore"):  # reported as OverflowError below
-        terms = np.exp(-ln_moment(gen, p2) / p2)
         partial_sum = terms.sum()
     if not np.isfinite(partial_sum):
         raise OverflowError("Carleman terms overflow: E[W^{2p}] is below the float range")
@@ -431,17 +438,20 @@ def determinacy_verdict(gen, P: int = 200, threshold: float = 1e-6) -> str:
     'determinate-divergent' when the tail terms stay bounded away from
     zero (the sum diverges, so the moments pin down the law);
     'indeterminate-convergent' when the tail terms decay geometrically
-    (the sum converges); 'inconclusive' otherwise.
+    (the sum converges); 'inconclusive' otherwise.  The terms judged are
+    those of W*e**(-drift): W and c*W have the same moment determinacy,
+    and every term of W carries a factor e**(-drift) that would move the
+    tail across the threshold.  A term of W*e**(-drift) past the float
+    range counts as infinite.
     """
     if P < 10:
         raise ValueError(f"P must be >= 10, got {P}")
     if not threshold > 0:
         raise ValueError(f"threshold must be > 0, got {threshold}")
-    terms = carleman_terms(gen, P)
-    tail = terms[P // 2 :]
+    tail = _carleman_terms(replace(as_levy(gen), drift=0.0), P)[P // 2 :]
     if tail.min() >= threshold:
         return "determinate-divergent"
-    pos = tail[tail > 0]
+    pos = tail[(tail > 0) & (tail < math.inf)]
     if len(pos) >= 5:
         y = np.log(pos)
         x = np.arange(len(pos), dtype=float)

@@ -14,7 +14,6 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from .exponents import recurrence_residual
 from .generators import (
@@ -344,4 +343,6 @@ def split_width_for_epsilon(ref: LogPoissonParams, r: float, k: int, eps_target:
     lo, hi = math.log(1e-12), math.log(min(beta, 1.0 - beta) * 0.999)
     if not excess(lo) <= 0.0 <= excess(hi):
         raise ValueError(f"epsilon target {eps_target} unreachable for this family")
+    from scipy import optimize  # here, so that importing hscascade loads no SciPy
+
     return math.exp(optimize.brentq(excess, lo, hi, xtol=1e-12))

@@ -87,16 +87,25 @@ def _grid_argmin(ps, zs, slopes, h: float, d: float) -> int:
     by more than rounding noise (64 ulp of its largest term) bounds a
     convex bowl, so the first argmin lies inside; otherwise, on a float
     plateau such as the one at h = h_max, the whole grid is scanned.
+    The window is evaluated in Python floats, the same IEEE operations
+    in the same order as the array expression.
     """
+    h, d = float(h), float(d)  # NumPy would promote a float32 h or d to float64
     c = int(np.searchsorted(slopes, -h))
     lo, hi = max(c - 4, 0), min(c + 5, len(ps))
-    ph, zw = ps[lo:hi] * h, zs[lo:hi]
-    g = ph - zw + d
-    j = int(np.argmin(g))
-    noise = 64 * np.spacing(max(abs(d), np.abs(zw).max(), np.abs(ph).max()))
+    ph = [p * h for p in ps[lo:hi].tolist()]
+    zw = zs[lo:hi].tolist()
+    g = [a - z + d for a, z in zip(ph, zw)]
+    j = g.index(min(g))
+    noise = 64 * math.ulp(max(abs(d), max(map(abs, zw)), max(map(abs, ph))))
     if (lo > 0 and g[0] - g[j] <= noise) or (hi < len(ps) and g[-1] - g[j] <= noise):
         return int(np.argmin(ps * h - zs + d))
     return lo + j
+
+
+# the node index 0, 1, ..., 512 of a refinement cell, read-only
+_RAMP = np.arange(513.0)
+_RAMP.flags.writeable = False
 
 
 def f_legendre(law: ScalingLaw, d: float, h: float) -> float:
@@ -116,16 +125,18 @@ def f_legendre(law: ScalingLaw, d: float, h: float) -> float:
     """
     _check_dimension(d)
     _check_h(law, h)
-    cells = []
+    ends = []
     for n in (10_000, 20_000):
         ps, zs, slopes = _order_grid(law, n)
         i = _grid_argmin(ps, zs, slopes, h, d)
         # the cell pair around the best node; its ends cover an inf on
         # the p >= 0 or p = p_max boundary
-        cells.append(np.linspace(ps[max(i - 1, 0)], ps[min(i + 1, len(ps) - 1)], 513))
-    p = np.concatenate(cells)
-    g = p * h - zeta(law, p) + d
-    coarse, fine = float(np.min(g[:513])), float(np.min(g[513:]))
+        ends.append((ps[max(i - 1, 0)], ps[min(i + 1, len(ps) - 1)]))
+    (a0, b0), (a1, b1) = ends
+    # np.linspace(a, b, 513) row by row: ramp * ((b - a) / 512) + a, last node b
+    p = _RAMP * np.array([[(b0 - a0) / 512], [(b1 - a1) / 512]]) + np.array([[a0], [a1]])
+    p[:, -1] = b0, b1
+    coarse, fine = map(float, (p * h - zeta(law, p) + d).min(axis=1))
     if abs(coarse - fine) > 1e-6:
         raise ValueError("Legendre grid too coarse: doubling the grid moved the inf by > 1e-6")
     return fine

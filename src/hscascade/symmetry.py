@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy import optimize
 
 from .exponents import DeltaSeries, ScalingLaw, law_from_deltas, recurrence_residual
 from .generators import LogPoissonParams, logpoisson_from_scaling
@@ -110,7 +109,7 @@ def _ls_fit(q, m: np.ndarray, d: np.ndarray, w: np.ndarray) -> tuple:
     amp = (sw * sxy - sx * sy) / den
     dinf = (sy - amp * sx) / sw
     with np.errstate(over="ignore"):  # an overflowing SSE ranks above every finite one
-        sse = ((d - np.expand_dims(dinf, -1) - np.expand_dims(amp, -1) * x) ** 2) @ w
+        sse = ((d - dinf[..., None] - amp[..., None] * x) ** 2) @ w
     return np.where(den > 0, sse, np.inf), dinf, amp
 
 
@@ -152,6 +151,8 @@ def fit_a1(series: DeltaSeries) -> A1Fit:
     best = int(np.argmin(grid))  # smallest q wins ties via argmin
     u_hat = best
     if 0 < best < _Q_NODES - 1:
+        from scipy import optimize  # here, so that importing hscascade loads no SciPy
+
         try:
             bracket = (best - 1, best, best + 1)
             u_hat = optimize.minimize_scalar(sse, bracket=bracket, method="brent", tol=1e-15).x

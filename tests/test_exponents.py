@@ -88,6 +88,22 @@ class TestZeta:
         with pytest.raises(ValueError):
             zeta(SL, np.array([1.0, -1.0]))
 
+    @pytest.mark.parametrize("ps, message", [
+        ([1.0, math.nan], "got [ 1. nan]"),
+        ([math.inf, 2.0], "got [inf  2.]"),
+        ([-math.inf], "got [-inf]"),
+        ([[0.0, 3.0], [-1.0, 6.0]], "got [[ 0.  3.]\n [-1.  6.]]"),
+    ])
+    def test_rejects_bad_array_orders(self, ps, message):
+        with pytest.raises(ValueError) as info:
+            zeta(SL, np.array(ps))
+        assert str(info.value) == "moment order must be finite and >= 0, " + message
+
+    def test_accepts_empty_and_negative_zero_arrays(self):
+        assert zeta(SL, np.array([])).shape == (0,)
+        assert zeta(SL, np.zeros((0, 3))).shape == (0, 3)
+        assert np.array_equal(zeta(SL, np.array([-0.0, 3.0])), [zeta(SL, 0.0), zeta(SL, 3.0)])
+
     def test_rejects_bad_orders(self):
         with pytest.raises(ValueError):
             zeta(SL, -1.0)

@@ -270,6 +270,24 @@ class TestCarleman:
         assert determinacy_verdict(LOGNORMAL) == "indeterminate-convergent"
         assert determinacy_verdict(LevyGenerator(drift=-0.5)) == "determinate-divergent"
 
+    @pytest.mark.parametrize("drift", [-50.0, 0.0, 10.0, 14.0, 50.0])
+    def test_verdict_ignores_the_drift(self, drift):
+        # W <= e**drift has compact support, so it is determinate at every drift; each
+        # Carleman term carries e**(-drift), which must not move the verdict
+        atom = LevyGenerator(drift=drift, atoms=((-0.5, 1.0),))
+        tail = LevyGenerator(drift=drift, tail=StableTail(alpha=0.5, c=0.05, x_min=1e-4, x_max=1.0))
+        lognormal = replace(LOGNORMAL, drift=drift)
+        assert determinacy_verdict(atom) == "determinate-divergent"
+        assert determinacy_verdict(tail) == "determinate-divergent"
+        assert determinacy_verdict(lognormal) == "indeterminate-convergent"
+
+    def test_verdict_with_overflowing_drift_free_terms(self):
+        # W = e**(1000 - N), N ~ Poisson(2000): the terms of W underflow to 0 in the tail,
+        # those of W*e**-1000 pass the float range at small p; both are bounded away from 0
+        gen = LevyGenerator(drift=1000.0, atoms=((-1.0, 2000.0),))
+        assert carleman_terms(gen, 200)[-1] == 0.0
+        assert determinacy_verdict(gen) == "determinate-divergent"
+
     @pytest.mark.parametrize("threshold", [0.0, -1.0, math.nan])
     def test_verdict_rejects_non_positive_threshold(self, threshold):
         # at threshold <= 0 the log-normal law, which is indeterminate, read as determinate

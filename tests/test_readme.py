@@ -2,10 +2,15 @@
 
 import contextlib
 import io
+import json
+import os
 import pathlib
 import re
 import shlex
+import subprocess
+import sys
 
+import hscascade
 from hscascade.cli import main
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -39,6 +44,28 @@ def test_cli_commands_exit_0(tmp_path, monkeypatch, capsys):
         assert capsys.readouterr().err == "", argv
     assert sorted(p.name for p in tmp_path.iterdir()) == ["spectrum.csv", "structure.csv",
                                                           "zeta.csv"]
+
+
+# runs the README's simulate (canonical rate, below the count table), spectrum and determinacy
+# in a fresh interpreter, then lists the scipy modules loaded
+SCIPY_FREE = """
+import contextlib, io, json, sys
+import hscascade, hscascade.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [hscascade.cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+def test_simulate_spectrum_and_determinacy_load_no_scipy(tmp_path):
+    argvs = [argv for argv in readme_commands()
+             if argv[0] in ("simulate", "spectrum", "determinacy")]
+    src = str(pathlib.Path(hscascade.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", SCIPY_FREE, json.dumps(argvs)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert json.loads(done.stdout) == [[0, 0, 0], []]
 
 
 def test_library_example():
