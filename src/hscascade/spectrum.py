@@ -90,7 +90,7 @@ def _grid_argmin(ps, zs, slopes, h: float, d: float) -> int:
     The window is evaluated in Python floats, the same IEEE operations
     in the same order as the array expression.
     """
-    h, d = float(h), float(d)  # NumPy would promote a float32 h or d to float64
+    h, d = float(h), float(d)  # the array expression promotes a float32 h or d to float64
     c = int(np.searchsorted(slopes, -h))
     lo, hi = max(c - 4, 0), min(c + 5, len(ps))
     ph = [p * h for p in ps[lo:hi].tolist()]
