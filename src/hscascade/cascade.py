@@ -8,8 +8,8 @@ _GROUPS contiguous groups of the independent branch realizations
 (Efron, "The Jackknife, the Bootstrap and Other Resampling Plans",
 SIAM 1982; Kott, J. Off. Stat. 17, 2001): every level is a cumulative
 sum of the same branches and every order is a power of the same
-samples, so the replicates carry the covariance of ln S over levels
-and orders into zeta_hat and delta_hat.
+samples, so the replicates give the covariance of ln S over levels and
+orders that a structure table carries and estimate_zeta maps to zeta_hat.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exponents import CascadeParams, DeltaSeries, _check_order
-from .generators import _sample_rows
+from .generators import _check_integers, _sample_rows
 
 __all__ = [
     "SimConfig",
@@ -55,6 +55,7 @@ class SimConfig:
     p_list: tuple = ()
 
     def __post_init__(self):
+        _check_integers(n_levels=self.n_levels, n_samples=self.n_samples, seed=self.seed)
         if self.n_levels < 2:
             raise ValueError(f"n_levels must be >= 2, got {self.n_levels}")
         if self.n_samples < 100:
@@ -67,21 +68,39 @@ class SimConfig:
         object.__setattr__(self, "p_list", tuple(sorted(set(p_list))))
 
 
-def _check_stderr(se) -> None:
-    se = np.asarray(se, dtype=float)
+def _jackknife_cov(reps: np.ndarray) -> np.ndarray:
+    """Delete-a-group covariance (G-1)/G * sum_g d_g d_g^T of the G rows d_g of reps - mean."""
+    g = len(reps)
+    d = reps - reps.mean(axis=0)
+    cov = (g - 1) / g * (d.T @ d)
+    return (cov + cov.T) / 2  # symmetric to the last bit
+
+
+def _check_table(table, *levels) -> None:
+    """Distinct rows of orders p >= 0 (of (p, n) with `levels`), finite se >= 0, a dict metadata
+    without "cov", and a cov, if any, finite and symmetric with sqrt(diag) = se (as floats)."""
+    seen = set()
+    for row in zip(np.asarray(table.p, dtype=float).tolist(), *levels):
+        _check_order(row[0])  # the message names the order
+        if row in seen:
+            at = "".join(f" at level n = {n}" for n in row[1:])
+            raise ValueError(f"order p = {row[0]}{at} appears in more than one row")
+        seen.add(row)
+    se = np.asarray(table.se, dtype=float)
     if not (np.isfinite(se) & (se >= 0)).all():
         raise ValueError(f"se: stderr entries must be finite and >= 0, got {se.tolist()}")
-
-
-def _check_cov(cov, se) -> np.ndarray:
-    """cov as a float array: a finite symmetric k x k matrix whose sqrt(diag) is se."""
+    if not isinstance(table.metadata, dict):
+        raise ValueError(f"metadata must be a dict, got {type(table.metadata).__name__}")
+    if "cov" in table.metadata:
+        raise ValueError("metadata: the key 'cov' is reserved for the covariance")
+    if table.cov is None:
+        return
     try:
-        cov = np.array(cov, dtype=float)
+        cov = np.array(table.cov, dtype=float)
     except (TypeError, ValueError):
         raise ValueError("cov: the covariance must be a numeric matrix") from None
-    k = len(se)
-    if cov.shape != (k, k):
-        raise ValueError(f"cov: expected a {k} x {k} covariance, got shape {cov.shape}")
+    if cov.shape != (len(se), len(se)):
+        raise ValueError(f"cov: expected a {len(se)} x {len(se)} covariance, got shape {cov.shape}")
     if not np.isfinite(cov).all():
         raise ValueError("cov: covariance entries must be finite")
     with np.errstate(over="ignore", invalid="ignore"):  # each failure is reported below
@@ -91,24 +110,28 @@ def _check_cov(cov, se) -> np.ndarray:
         raise ValueError("cov: the covariance is not symmetric")
     if not matches_se:
         raise ValueError("cov: the square roots of the covariance diagonal are not se")
-    return cov
+    object.__setattr__(table, "cov", cov)
 
 
-def _jackknife_cov(reps: np.ndarray) -> np.ndarray:
-    """Delete-a-group covariance (G-1)/G * sum_g d_g d_g^T of the G rows d_g of reps - mean."""
-    g = len(reps)
-    d = reps - reps.mean(axis=0)
-    cov = (g - 1) / g * (d.T @ d)
-    return (cov + cov.T) / 2  # symmetric to the last bit
+def _write_table(path, table, header, rows) -> None:
+    """write_csv with the table's covariance, when it has one, under "cov" in the JSON line."""
+    meta = table.metadata if table.cov is None else {**table.metadata, "cov": table.cov.tolist()}
+    write_csv(path, meta, header, rows)
+
+
+def _read_table(path, header, cell=float) -> tuple:
+    """What _write_table writes: (metadata, its "cov" or None, the rows as a float array)."""
+    meta, rows = _read_csv(path, header, cell)
+    return meta, meta.pop("cov", None), np.asarray(rows, dtype=float)  # meta without "cov"
 
 
 @dataclass(frozen=True)
 class StructureTable:
-    """Rows of (p, n, ln_S, se) plus run metadata.
+    """Rows of (p, n, ln_S, se), run metadata and cov, the covariance of ln_S over the rows.
 
-    `replicates`, when given, holds one row of delete-a-group jackknife
-    replicates of ln_S per table row (zeros at p = 0).  simulate fills
-    it; it lives in memory only, so a table read from a CSV has none.
+    se is sqrt(diag(cov)).  simulate fills cov with the delete-a-group jackknife covariance
+    (zeros at p = 0), and a CSV carries it under "cov" in its JSON line.  A table without
+    cov is refused: one built by hand with independent rows passes cov=np.diag(se**2).
     """
 
     p: np.ndarray
@@ -116,35 +139,25 @@ class StructureTable:
     ln_s: np.ndarray
     se: np.ndarray
     metadata: dict = field(default_factory=dict)
-    replicates: np.ndarray | None = None
+    cov: np.ndarray | None = None
 
     def __post_init__(self):
-        seen = set()
-        for row in zip(np.asarray(self.p, dtype=float).tolist(), np.asarray(self.n).tolist()):
-            _check_order(row[0])  # the message names the order
-            if row in seen:
-                raise ValueError(f"order p = {row[0]} at level n = {row[1]} appears in more than one row")
-            seen.add(row)
-        _check_stderr(self.se)
-        if self.replicates is not None:
-            shape = np.shape(self.replicates)
-            if len(shape) != 2 or shape[0] != len(self.p) or shape[1] < 2:
-                raise ValueError(f"replicates: expected {len(self.p)} rows of >= 2 replicates, "
-                                 f"got shape {shape}")
+        _check_table(self, np.asarray(self.n).tolist())
+        if self.cov is None:
+            raise ValueError("cov: a structure table needs the covariance of ln_S over its rows")
 
     def rows_for(self, p: float):
         sel = self.p == p
         return self.n[sel], self.ln_s[sel], self.se[sel]
 
     def to_csv(self, path) -> None:
-        rows = zip(self.p, self.n, self.ln_s, self.se)
-        write_csv(path, self.metadata, ("p", "n", "ln_S", "se"), rows)
+        _write_table(path, self, ("p", "n", "ln_S", "se"), zip(self.p, self.n, self.ln_s, self.se))
 
     @classmethod
     def from_csv(cls, path) -> "StructureTable":
-        meta, rows = _read_csv(path, ("p", "n", "ln_S", "se"), cell=(float, _level, float, float))
-        arr = np.asarray(rows, dtype=float)
-        return cls(p=arr[:, 0], n=arr[:, 1].astype(int), ln_s=arr[:, 2], se=arr[:, 3], metadata=meta)
+        meta, cov, arr = _read_table(path, ("p", "n", "ln_S", "se"), (float, _level, float, float))
+        return cls(p=arr[:, 0], n=arr[:, 1].astype(int), ln_s=arr[:, 2], se=arr[:, 3],
+                   metadata=meta, cov=cov)
 
 
 @dataclass(frozen=True)
@@ -164,17 +177,7 @@ class ZetaEstimate:
     cov: np.ndarray | None = None
 
     def __post_init__(self):
-        seen = set()
-        for p in np.asarray(self.p, dtype=float).tolist():
-            _check_order(p)  # the message names the order
-            if p in seen:
-                raise ValueError(f"order p = {p} appears in more than one row")
-            seen.add(p)
-        _check_stderr(self.se)
-        if isinstance(self.metadata, dict) and "cov" in self.metadata:
-            raise ValueError("metadata: the key 'cov' is reserved for the covariance")
-        if self.cov is not None:
-            object.__setattr__(self, "cov", _check_cov(self.cov, self.se))
+        _check_table(self)
 
     def value(self, p: float) -> tuple:
         idx = np.nonzero(self.p == p)[0]
@@ -184,15 +187,11 @@ class ZetaEstimate:
         return float(self.zeta_hat[i]), float(self.se[i])
 
     def to_csv(self, path) -> None:
-        rows = zip(self.p, self.zeta_hat, self.se)
-        meta = self.metadata if self.cov is None else {**self.metadata, "cov": self.cov.tolist()}
-        write_csv(path, meta, ("p", "zeta_hat", "se"), rows)
+        _write_table(path, self, ("p", "zeta_hat", "se"), zip(self.p, self.zeta_hat, self.se))
 
     @classmethod
     def from_csv(cls, path) -> "ZetaEstimate":
-        meta, rows = _read_csv(path, ("p", "zeta_hat", "se"), cell=float)
-        arr = np.asarray(rows, dtype=float)
-        cov = meta.pop("cov", None)
+        meta, cov, arr = _read_table(path, ("p", "zeta_hat", "se"))
         return cls(p=arr[:, 0], zeta_hat=arr[:, 1], se=arr[:, 2], metadata=meta, cov=cov)
 
 
@@ -295,8 +294,8 @@ def simulate(config: SimConfig, gen) -> StructureTable:
 
     Deterministic given the seed; the p = 0 rows are exactly zero.  Each
     (p, n) cell also gets _GROUPS delete-a-group jackknife replicates of
-    ln S_p over contiguous groups of samples (the table's `replicates`,
-    zeros at p = 0); its se is their jackknife standard error.
+    ln S_p over contiguous groups of samples (zeros at p = 0), and the
+    table's cov is their delete-a-group covariance over the rows.
 
     A two-stage pipeline: this thread draws level n+1 of log Phi while
     one worker thread runs level n's jackknife cells, every order p != 0
@@ -309,22 +308,17 @@ def simulate(config: SimConfig, gen) -> StructureTable:
     fills its rows block by block (see generators._sample_rows), so
     memory is O(n_samples) for the levels plus one block of counts,
     jumps and normals, for every generator and any n_levels.
-    A cell whose ln S_p or jackknife error overflows raises OverflowError.
+    A table whose ln S_p or covariance overflows raises OverflowError.
     """
     nl, ns = config.n_levels, config.n_samples
     z = np.empty(ns)  # the worker's scratch buffer, refilled for every (p, n)
 
-    def cells(level):  # ln_S, se and replicates per order of one level, in the worker
+    def cells(level):  # ln_S and replicates per order of one level, in the worker
         with np.errstate(over="ignore", invalid="ignore"):  # reported as OverflowError below
             ln_s, reps = zip(*[(0.0, np.zeros(_GROUPS)) if p == 0.0
                                else _ln_mean_and_jackknife(np.multiply(p, level, out=z))
                                for p in config.p_list])
-            reps = np.array(reps)
-            dev = reps - reps.mean(axis=1, keepdims=True)
-            se = np.sqrt((_GROUPS - 1) / _GROUPS * np.square(dev).sum(axis=1))
-        if not (np.isfinite(ln_s).all() and np.isfinite(se).all()):
-            raise OverflowError("ln S_p or its jackknife error is not finite: log W is too large")
-        return np.array(ln_s), se, reps
+        return np.array(ln_s), np.array(reps)
 
     futures = []
     with ThreadPoolExecutor(max_workers=1) as worker:
@@ -333,14 +327,18 @@ def simulate(config: SimConfig, gen) -> StructureTable:
         branch = None
         for row in _sample_rows(gen, nl, ns, config.seed):
             if branch is not None:
-                with np.errstate(over="ignore"):  # the cells report a non-finite level
+                with np.errstate(over="ignore"):  # the check below reports a non-finite level
                     row += branch
             branch = row
             if len(futures) >= 2:
                 futures[-2].result()  # level n-2 is done before level n is queued
             futures.append(worker.submit(cells, branch))
         # per level, orders first -> orders x levels (x groups), p-major rows
-        ln_s, se, reps = (np.stack(part, axis=1) for part in zip(*(f.result() for f in futures)))
+        ln_s, reps = (np.stack(part, axis=1) for part in zip(*(f.result() for f in futures)))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as OverflowError below
+        cov = _jackknife_cov(reps.reshape(-1, _GROUPS).T)
+    if not (np.isfinite(ln_s).all() and np.isfinite(cov).all()):
+        raise OverflowError("ln S_p or its jackknife error is not finite: log W is too large")
     meta = {
         "r": config.params.r,
         "k": config.params.k,
@@ -351,7 +349,7 @@ def simulate(config: SimConfig, gen) -> StructureTable:
     }
     return StructureTable(
         p=np.repeat(config.p_list, nl), n=np.tile(np.arange(1, nl + 1), len(config.p_list)),
-        ln_s=ln_s.ravel(), se=se.ravel(), metadata=meta, replicates=reps.reshape(-1, _GROUPS),
+        ln_s=ln_s.ravel(), se=np.sqrt(np.diagonal(cov)), metadata=meta, cov=cov,
     )
 
 
@@ -359,13 +357,11 @@ def estimate_zeta(table: StructureTable) -> ZetaEstimate:
     """OLS slope of ln S_p against n*ln r, per moment order.
 
     zeta_hat at p = 0 is forced to zero.  Orders with fewer than 3 valid
-    levels are omitted with a warning in the metadata.  With the table's
-    jackknife replicates, the same OLS coefficients map each replicate
-    to a zeta_hat replicate, and their delete-a-group covariance over
-    the orders is the estimate's `cov` (se = sqrt of its diagonal); it
-    raises OverflowError if that covariance is not finite.  A table
-    without replicates (one read from a CSV) propagates the per-level
-    errors as if levels were independent, and its estimate has no cov.
+    levels are omitted with a warning in the metadata.  The OLS
+    coefficients make W, an orders x rows matrix with a zero row at p = 0
+    and zero columns at non-finite ln_S, and zeta_hat's covariance is
+    W cov W^T over the table's cov (se = sqrt of its diagonal); it raises
+    OverflowError if that covariance is not finite.
     """
     r = table.metadata.get("r")
     if isinstance(r, bool) or not isinstance(r, numbers.Real) or not 0.0 < r < 1.0:
@@ -373,43 +369,32 @@ def estimate_zeta(table: StructureTable) -> ZetaEstimate:
                          f"got {r!r}")
     ln_r = math.log(r)
 
-    reps = table.replicates
-    ps, zs, ses, zreps, skipped = [], [], [], [], []
+    ps, zs, weights, skipped = [], [], [], []
     for p in sorted(set(table.p.tolist())):
         rows = np.flatnonzero((table.p == p) & np.isfinite(table.ln_s))
-        if p == 0.0:
-            ps.append(0.0)
-            zs.append(0.0)
-            ses.append(0.0)
-            if reps is not None:
-                zreps.append(np.zeros(reps.shape[1]))
-            continue
-        if len(rows) < 3:
+        if p != 0.0 and len(rows) < 3:
             skipped.append(p)
             continue
-        x = table.n[rows].astype(float) * ln_r
-        xm = x.mean()
-        denom = float(((x - xm) ** 2).sum())
-        coef = (x - xm) / denom
+        w = np.zeros(len(table.p))  # a zero row at p = 0
+        if p != 0.0:
+            x = table.n[rows].astype(float) * ln_r
+            xm = x.mean()
+            w[rows] = (x - xm) / float(((x - xm) ** 2).sum())
         ps.append(p)
-        zs.append(float(coef @ table.ln_s[rows]))
-        if reps is None:
-            ses.append(math.sqrt(float((coef**2) @ (table.se[rows] ** 2))))
-        else:
-            zreps.append(coef @ reps[rows])
+        zs.append(float(w[rows] @ table.ln_s[rows]) if p != 0.0 else 0.0)
+        weights.append(w)
 
-    cov = None
-    if reps is not None:
-        with np.errstate(over="ignore", invalid="ignore"):  # reported as OverflowError below
-            cov = _jackknife_cov(np.column_stack(zreps))
-            ses = np.sqrt(np.diagonal(cov))
-        if not np.isfinite(cov).all():
-            raise OverflowError("the jackknife covariance of zeta_hat is not finite")
+    w = np.array(weights).reshape(len(ps), len(table.p))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as OverflowError below
+        cov = w @ table.cov @ w.T
+        cov = (cov + cov.T) / 2  # symmetric to the last bit
+        se = np.sqrt(np.diagonal(cov))
+    if not np.isfinite(cov).all():
+        raise OverflowError("the covariance of zeta_hat is not finite")
     meta = dict(table.metadata)
     if skipped:
         meta["skipped_orders"] = skipped
-    return ZetaEstimate(p=np.array(ps), zeta_hat=np.array(zs), se=np.array(ses), metadata=meta,
-                        cov=cov)
+    return ZetaEstimate(p=np.array(ps), zeta_hat=np.array(zs), se=se, metadata=meta, cov=cov)
 
 
 def estimate_deltas(zeta: ZetaEstimate, k: int) -> DeltaSeries:

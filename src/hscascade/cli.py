@@ -14,6 +14,8 @@ import math
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import cascade, generators, hausdorff, spectrum, symmetry
 from .exponents import CascadeParams, ScalingLaw, conservation_gamma
 
@@ -185,10 +187,15 @@ def cmd_determinacy(args) -> int:
         gen = generators.generator_from_json(args.gen_json)
     terms = generators.carleman_terms(gen, args.P)
     verdict = generators.determinacy_verdict(gen, args.P, args.threshold)
+    free = generators._drift_free_terms(gen, args.P)  # the terms the verdict judges
+    with np.errstate(over="ignore"):  # a sum past the float range prints as null
+        free_sum = float(free.sum())
     print(json.dumps({
         "verdict": verdict,
         "partial_sum": float(terms.sum()),
         "last_term": float(terms[-1]),
+        "drift_free_partial_sum": free_sum if math.isfinite(free_sum) else None,
+        "drift_free_last_term": float(free[-1]) if math.isfinite(free[-1]) else None,
         "P": args.P,
     }, indent=2))
     return 0

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -249,9 +250,17 @@ def sample_logW(gen, count: int, seed: int) -> np.ndarray:
     about it, is added to the jump sum last.  This is the one-row case of
     _sample_rows, so memory is the output plus O(one block).
     """
+    _check_integers(count=count, seed=seed)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     return next(_sample_rows(gen, 1, count, seed))
+
+
+def _check_integers(**values) -> None:
+    """Refuse a value that is not a Python or NumPy integer (a bool included), by name."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an int, got {value!r}")
 
 
 def _bucketed_pick(edges: np.ndarray):
@@ -415,6 +424,11 @@ def _carleman_terms(gen, P: int) -> np.ndarray:
         return np.exp(-ln_moment(gen, p2) / p2)
 
 
+def _drift_free_terms(gen, P: int) -> np.ndarray:
+    """The terms of W*e**(-drift), which determinacy_verdict judges; past the float range, inf."""
+    return _carleman_terms(replace(as_levy(gen), drift=0.0), P)
+
+
 def carleman_terms(gen, P: int) -> np.ndarray:
     """Terms (E[W^{2p}])**(-1/(2p)) for p = 1..P."""
     if P < 1:
@@ -448,7 +462,7 @@ def determinacy_verdict(gen, P: int = 200, threshold: float = 1e-6) -> str:
         raise ValueError(f"P must be >= 10, got {P}")
     if not threshold > 0:
         raise ValueError(f"threshold must be > 0, got {threshold}")
-    tail = _carleman_terms(replace(as_levy(gen), drift=0.0), P)[P // 2 :]
+    tail = _drift_free_terms(gen, P)[P // 2 :]
     if tail.min() >= threshold:
         return "determinate-divergent"
     pos = tail[(tail > 0) & (tail < math.inf)]

@@ -20,6 +20,7 @@ import numpy as np
 
 from .cascade import write_csv
 from .exponents import ScalingLaw, spectrum_width, zeta
+from .generators import _check_integers
 
 __all__ = ["SpectrumCurve", "f_closed", "f_legendre", "spectrum_curve", "h_interval"]
 
@@ -171,8 +172,7 @@ class SpectrumCurve:
 
 def spectrum_curve(law: ScalingLaw, d: float, n_points: int) -> SpectrumCurve:
     """Tabulate (h, f) across the spectrum interval, endpoints included."""
-    if isinstance(n_points, bool) or not isinstance(n_points, int):
-        raise ValueError(f"n_points must be an int, got {n_points!r}")
+    _check_integers(n_points=n_points)
     if n_points < 2:
         raise ValueError(f"n_points must be >= 2, got {n_points}")
     _check_dimension(d)

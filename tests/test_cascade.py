@@ -19,6 +19,7 @@ from hscascade.cascade import (
     SimConfig,
     StructureTable,
     ZetaEstimate,
+    _jackknife_cov,
     _ln_mean_and_jackknife,
     _read_csv,
     default_p_list,
@@ -46,13 +47,13 @@ LN_HALF = math.log(0.5)
 
 
 def exact_table(law, r, n_levels, p_list, se=0.0):
-    """Noise-free structure table with ln_S = n * zeta_p * ln r."""
+    """Noise-free structure table with ln_S = n * zeta_p * ln r and independent rows."""
     rows = [(p, n, n * zeta(law, p) * math.log(r), se)
             for p in p_list for n in range(1, n_levels + 1)]
     arr = np.array(rows)
     return StructureTable(
         p=arr[:, 0], n=arr[:, 1].astype(int), ln_s=arr[:, 2], se=arr[:, 3],
-        metadata={"r": r, "n_samples": 0, "seed": 0},
+        metadata={"r": r, "n_samples": 0, "seed": 0}, cov=np.diag(arr[:, 3] ** 2),
     )
 
 
@@ -139,7 +140,7 @@ def reference_se(reps):
 def reference_simulate(config, gen, sample=sample_logW):
     """simulate before the pipeline: one `sample` call, np.cumsum over levels, serial cells.
 
-    Returns ln_S, se and the replicates, in the table's p-major row order."""
+    Returns ln_S and the replicates (one row per table row), in the table's p-major row order."""
     nl, ns = config.n_levels, config.n_samples
     branch = np.cumsum(sample(gen, nl * ns, config.seed).reshape(nl, ns), axis=0)
     z = np.empty(ns)
@@ -149,14 +150,15 @@ def reference_simulate(config, gen, sample=sample_logW):
         for p in config.p_list
         for level in branch
     ])
-    return np.array(ln_s), np.array([reference_se(r) for r in reps]), np.array(reps)
+    return np.array(ln_s), np.array(reps)
 
 
 def assert_same_table(table, reference):
-    ln_s, se, reps = reference
+    ln_s, reps = reference
+    cov = _jackknife_cov(reps.T)
     assert table.ln_s.tobytes() == ln_s.tobytes()
-    assert table.se.tobytes() == se.tobytes()
-    assert table.replicates.tobytes() == reps.tobytes()
+    assert table.cov.tobytes() == cov.tobytes()
+    assert table.se.tobytes() == np.sqrt(np.diagonal(cov)).tobytes()
 
 
 @st.composite
@@ -408,7 +410,8 @@ class TestEstimateZeta:
         table = exact_table(SL, 0.5, 8, (0.0, 3.0))
         keep = ~((table.p == 3.0) & (table.n == 8))
         trimmed = StructureTable(p=table.p[keep], n=table.n[keep], ln_s=table.ln_s[keep],
-                                 se=table.se[keep], metadata=table.metadata)
+                                 se=table.se[keep], metadata=table.metadata,
+                                 cov=table.cov[np.ix_(keep, keep)])
         z = estimate_zeta(trimmed)
         assert z.value(3.0)[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -437,42 +440,58 @@ class TestEstimateZeta:
 
 
     def test_group_covariance_from_replicates(self):
-        # each zeta_hat replicate is the OLS slope of that replicate's ln_S over the levels,
-        # and the covariance of the replicates over orders is the delete-a-group one
+        # W cov W^T is the delete-a-group covariance of the zeta_hat replicates, each the OLS
+        # slope of one replicate of ln_S over the levels, to rounding
         cfg = SimConfig(params=CascadeParams(r=0.5, k=3), n_levels=5, n_samples=2000, seed=8,
                         p_list=(0.0, 1.0, 3.0, 6.0))
         table = simulate(cfg, SL_LP)
         z = estimate_zeta(table)
+        _, reps = reference_simulate(cfg, SL_LP)
         x = np.arange(1, 6) * LN_HALF
         coef = (x - x.mean()) / ((x - x.mean()) ** 2).sum()
-        reps = np.array([coef @ table.replicates[table.p == p] for p in z.p])
-        dev = reps - reps.mean(axis=1, keepdims=True)
-        groups = table.replicates.shape[1]
-        assert groups == 100
-        np.testing.assert_allclose(z.cov, (groups - 1) / groups * dev @ dev.T,
-                                   rtol=1e-12, atol=1e-300)
+        zreps = np.array([coef @ reps[table.p == p] for p in z.p])
+        dev = zreps - zreps.mean(axis=1, keepdims=True)
+        want = (len(dev.T) - 1) / len(dev.T) * dev @ dev.T
+        np.testing.assert_allclose(z.cov, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
         assert z.se.tobytes() == np.sqrt(np.diagonal(z.cov)).tobytes()
         assert z.cov[0].tolist() == [0.0] * 4 and z.se[0] == 0.0
-        # the slopes are those of the diagonal path: only the errors change
-        diagonal = estimate_zeta(StructureTable(p=table.p, n=table.n, ln_s=table.ln_s,
-                                                se=table.se, metadata=table.metadata))
-        assert diagonal.cov is None
-        assert diagonal.zeta_hat.tobytes() == z.zeta_hat.tobytes()
-        assert not np.array_equal(diagonal.se, z.se)
 
-    def test_replicates_shape_checked(self):
+    def test_independent_rows(self):
+        # with cov = diag(se**2), zeta_hat's variance is sum coef**2 se**2 and the orders are
+        # uncorrelated
+        table = exact_table(SL, 0.5, 4, (0.0, 3.0, 6.0), se=0.01)
+        z = estimate_zeta(table)
+        x = np.arange(1, 5) * LN_HALF
+        var = 1e-4 / ((x - x.mean()) ** 2).sum()
+        np.testing.assert_allclose(z.cov, np.diag([0.0, var, var]), rtol=1e-12, atol=1e-300)
+
+    def test_non_finite_rows_get_zero_weight(self):
+        # a non-finite ln_S row drops out of the slope and of the covariance, whatever its cov
+        table = exact_table(SL, 0.5, 5, (0.0, 3.0), se=0.01)
+        ln_s = np.where((table.p == 3.0) & (table.n == 5), math.inf, table.ln_s)
+        cov = table.cov.copy()
+        cov[-1, :] = cov[:, -1] = 0.5 * 0.01**2
+        cov[-1, -1] = 0.01**2
+        trimmed = exact_table(SL, 0.5, 4, (0.0, 3.0), se=0.01)
+        z = estimate_zeta(replace(table, ln_s=ln_s, cov=cov))
+        want = estimate_zeta(trimmed)
+        assert z.zeta_hat.tobytes() == want.zeta_hat.tobytes()
+        np.testing.assert_allclose(z.cov, want.cov, rtol=1e-14, atol=0.0)
+
+    def test_table_without_covariance_refused(self):
         table = exact_table(SL, 0.5, 3, (0.0, 3.0))
-        with pytest.raises(ValueError, match="replicates: expected 6 rows"):
+        with pytest.raises(ValueError, match="a structure table needs the covariance of ln_S"):
             StructureTable(p=table.p, n=table.n, ln_s=table.ln_s, se=table.se,
-                           metadata=table.metadata, replicates=np.zeros((5, 100)))
+                           metadata=table.metadata)
 
     def test_overflowing_covariance_raises(self):
-        # finite ln_S replicates whose deviations square past the largest float
+        # a finite cov of ln_S whose image W cov W^T passes the largest float: levels 1 and 3
+        # of order 3 anticorrelated, at variance 1e308 each
         table = exact_table(SL, 0.5, 3, (0.0, 3.0))
-        reps = np.zeros((6, 100))
-        reps[3:, ::2] = 1e200
-        big = StructureTable(p=table.p, n=table.n, ln_s=table.ln_s, se=table.se,
-                             metadata=table.metadata, replicates=reps)
+        cov = np.zeros((6, 6))
+        cov[3, 3] = cov[5, 5] = 1e308
+        cov[3, 5] = cov[5, 3] = -1e308
+        big = replace(table, se=np.sqrt(np.diagonal(cov)), cov=cov)
         with pytest.raises(OverflowError, match="covariance of zeta_hat is not finite"):
             estimate_zeta(big)
 
@@ -584,11 +603,45 @@ class TestCsvRoundTrip:
         table = simulate(cfg, SL_LP)
         path = tmp_path / "structure.csv"
         table.to_csv(path)
+        assert json.loads(path.read_text().splitlines()[0][1:])["cov"] == table.cov.tolist()
         back = StructureTable.from_csv(path)
         assert np.array_equal(back.p, table.p)
         assert np.array_equal(back.ln_s, table.ln_s)
         assert np.array_equal(back.se, table.se)
-        assert back.metadata == table.metadata
+        assert back.cov.tobytes() == table.cov.tobytes()
+        assert back.metadata == table.metadata and "cov" not in back.metadata
+        # the estimate from the file is the estimate from memory, byte for byte
+        for name in ("zeta_hat", "se", "cov"):
+            assert (getattr(estimate_zeta(back), name).tobytes()
+                    == getattr(estimate_zeta(table), name).tobytes())
+
+    @pytest.mark.parametrize("cov, message", [
+        (None, "a structure table needs the covariance of ln_S over its rows"),
+        ([[0.0, 0.0], [0.0, 1e-4]], "expected a 3 x 3 covariance, got shape (2, 2)"),
+        ([[0.0, 0.0, 0.0], [0.0, 1e-4, 1e-5], [0.0, 2e-5, 4e-4]], "not symmetric"),
+        ([[0.0, 0.0, 0.0], [0.0, 1e-4, math.nan], [0.0, math.nan, 4e-4]], "must be finite"),
+        ([[0.0, 0.0, 0.0], [0.0, 1e-4, 0.0], [0.0, 0.0, 9e-4]], "diagonal are not se"),
+        ([[0.0, 0.0, "x"], [0.0, 1e-4, 0.0], [0.0, 0.0, 4e-4]], "must be a numeric matrix"),
+    ], ids=["missing", "shape", "asymmetric", "nan", "not-se", "not-numeric"])
+    def test_structure_table_rejects_a_bad_covariance(self, cov, message):
+        # se 0, 0.01 and 0.02 at (0, 1), (3, 1) and (3, 2)
+        meta = {"r": 0.5} if cov is None else {"r": 0.5, "cov": cov}
+        text = f"# {json.dumps(meta)}\np,n,ln_S,se\n0,1,0,0\n3,1,-0.69,0.01\n3,2,-1.39,0.02\n"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            StructureTable.from_csv(io.StringIO(text))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            StructureTable(p=np.array([0.0, 3.0, 3.0]), n=np.array([1, 1, 2]),
+                           ln_s=np.array([0.0, -0.69, -1.39]), se=np.array([0.0, 0.01, 0.02]),
+                           metadata={"r": 0.5}, cov=cov)
+
+    @pytest.mark.parametrize("table", [StructureTable, ZetaEstimate])
+    def test_rejects_metadata_that_is_not_a_dict(self, table):
+        # a list used to pass, then to_csv wrote a '#' line that from_csv refuses
+        columns = {"p": np.array([0.0]), "se": np.array([0.0]), "cov": [[0.0]]}
+        columns |= ({"n": np.array([1]), "ln_s": np.array([0.0])} if table is StructureTable
+                    else {"zeta_hat": np.array([0.0])})
+        with pytest.raises(ValueError, match="metadata must be a dict, got list"):
+            table(**columns, metadata=[0.5])
 
     @pytest.mark.parametrize("level", ["nan", "inf", "-inf", "2.5", "-3", "1e300"])
     def test_structure_table_rejects_a_bad_level(self, level):
@@ -657,6 +710,9 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="'cov' is reserved"):
             ZetaEstimate(p=np.array([0.0]), zeta_hat=np.array([0.0]), se=np.array([0.0]),
                          metadata={"cov": [[0.0]]})
+        with pytest.raises(ValueError, match="'cov' is reserved"):
+            StructureTable(p=np.array([0.0]), n=np.array([1]), ln_s=np.array([0.0]),
+                           se=np.array([0.0]), metadata={"cov": [[0.0]]}, cov=[[0.0]])
 
     def test_external_csv_ingestion(self):
         text = "# {}\np,zeta_hat,se\n0,0,0\n3,1.0,0.01\n6,1.77,0.02\n9,2.4,0.05\n"
@@ -715,7 +771,11 @@ class TestCsvRoundTrip:
     ])
     def test_rejects_bad_metadata(self, meta, message):
         # a ValueError, which the CLI reports as JSON, not an AttributeError or a TypeError
-        text = f"# {meta}\np,n,ln_S,se\n0,1,0,0\n3,1,-0.5,0.01\n3,2,-1,0.01\n3,3,-1.5,0.01\n"
+        meta = json.loads(meta)
+        if isinstance(meta, dict):  # the rows' independent covariance
+            meta = {**meta, "cov": np.diag([0.0] + [1e-4] * 3).tolist()}
+        text = (f"# {json.dumps(meta)}\np,n,ln_S,se\n0,1,0,0\n3,1,-0.5,0.01\n3,2,-1,0.01\n"
+                f"3,3,-1.5,0.01\n")
         with pytest.raises(ValueError, match=re.escape(message)):
             estimate_zeta(StructureTable.from_csv(io.StringIO(text)))
 
@@ -745,6 +805,19 @@ def exact(values):
     return [v.hex() if isinstance(v, float) else v for v in values]
 
 
+def without_cov(meta):
+    return {k: v for k, v in meta.items() if k != "cov"}
+
+
+def draw_covariance(data, diagonal):
+    """Any finite symmetric matrix with `diagonal`, and se the square roots of that diagonal."""
+    n = len(diagonal)
+    upper = data.draw(hnp.arrays(float, (n, n), elements=FLOATS))
+    cov = np.where(np.tri(n, k=-1, dtype=bool), upper.T, upper)
+    np.fill_diagonal(cov, diagonal)
+    return np.sqrt(cov.diagonal()), cov
+
+
 def round_trip(write):
     stream = io.StringIO()
     write(stream)
@@ -756,7 +829,7 @@ class TestCsvRoundTripProperties:
     """Every CSV writer's file reads back byte for byte in every column."""
 
     @settings(max_examples=60, deadline=None)
-    @given(n_rows=st.integers(1, 20), data=st.data(), meta=METADATA)
+    @given(n_rows=st.integers(1, 20), data=st.data(), meta=METADATA.map(without_cov))
     def test_structure_table(self, n_rows, data, meta):
         column = hnp.arrays(float, n_rows, elements=FLOATS)
         # StructureTable rejects a repeated (p, n) row and a negative or non-finite order;
@@ -768,20 +841,20 @@ class TestCsvRoundTripProperties:
         # StructureTable rejects a negative se; -0.0 and subnormals are still drawn
         errors = hnp.arrays(float, n_rows, elements=st.floats(min_value=-0.0, allow_infinity=False,
                                                               allow_subnormal=True))
+        se, cov = draw_covariance(data, data.draw(errors))
         table = StructureTable(
             p=np.array([p for p, _ in rows]), n=np.array([n for _, n in rows], dtype=np.int64),
-            ln_s=data.draw(column), se=data.draw(errors), metadata=meta,
+            ln_s=data.draw(column), se=se, metadata=meta, cov=cov,
         )
         back = StructureTable.from_csv(round_trip(table.to_csv))
-        for name in ("p", "n", "ln_s", "se"):
+        for name in ("p", "n", "ln_s", "se", "cov"):
             got, want = getattr(back, name), getattr(table, name)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert json.dumps(back.metadata) == json.dumps(meta)
 
     @settings(max_examples=60, deadline=None)
     @given(n_rows=st.integers(1, 20), data=st.data(),
-           meta=METADATA.map(lambda m: {k: v for k, v in m.items() if k != "cov"}),
-           with_cov=st.booleans())
+           meta=METADATA.map(without_cov), with_cov=st.booleans())
     def test_zeta_estimate(self, n_rows, data, meta, with_cov):
         column = hnp.arrays(float, n_rows, elements=FLOATS)
         # ZetaEstimate rejects a repeated, negative or non-finite order; -0.0 is still drawn
@@ -791,11 +864,8 @@ class TestCsvRoundTripProperties:
         errors = hnp.arrays(float, n_rows, elements=st.floats(min_value=-0.0, allow_infinity=False,
                                                               allow_subnormal=True))
         se, cov = data.draw(errors), None
-        if with_cov:  # any finite symmetric matrix, se the square roots of its diagonal
-            upper = data.draw(hnp.arrays(float, (n_rows, n_rows), elements=FLOATS))
-            cov = np.where(np.tri(n_rows, k=-1, dtype=bool), upper.T, upper)
-            np.fill_diagonal(cov, se)
-            se = np.sqrt(cov.diagonal())
+        if with_cov:
+            se, cov = draw_covariance(data, se)
         z = ZetaEstimate(p=data.draw(orders), zeta_hat=data.draw(column), se=se, metadata=meta,
                          cov=cov)
         back = ZetaEstimate.from_csv(round_trip(z.to_csv))
@@ -840,6 +910,24 @@ class TestConfigValidation:
     def test_rejects_bad_orders(self, p):
         with pytest.raises(ValueError, match="moment order must be finite and >= 0"):
             SimConfig(params=CascadeParams(r=0.5), n_levels=4, n_samples=500, p_list=(1.0, p))
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_levels", 3.0), ("n_levels", True), ("n_levels", "3"),
+        ("n_samples", 150.5), ("n_samples", 500.0), ("n_samples", np.float64(500.0)),
+        ("seed", 1.9), ("seed", 1.0), ("seed", False), ("seed", None),
+    ])
+    def test_rejects_sizes_and_seeds_that_are_not_integers(self, field, value):
+        # seed 1.9 used to draw seed 1's stream while the metadata recorded 1.9
+        config = {"n_levels": 4, "n_samples": 500, "seed": 0, field: value}
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be an int, got {value!r}")):
+            SimConfig(params=CascadeParams(r=0.5), **config)
+
+    def test_accepts_numpy_integers(self):
+        cfg = SimConfig(params=CascadeParams(r=0.5, k=3), n_levels=np.int64(3),
+                        n_samples=np.int32(200), seed=np.uint64(4), p_list=(0.0, 3.0))
+        want = SimConfig(params=CascadeParams(r=0.5, k=3), n_levels=3, n_samples=200, seed=4,
+                         p_list=(0.0, 3.0))
+        assert simulate(cfg, SL_LP).ln_s.tobytes() == simulate(want, SL_LP).ln_s.tobytes()
 
     @pytest.mark.parametrize("seed", [-1, 2**128])
     def test_rejects_bad_seeds(self, seed):

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -346,6 +347,36 @@ class TestDeterminacy:
         code, out, _ = run(capsys, "determinacy", "--gen", "log-poisson")
         assert code == 0
         assert json.loads(out)["verdict"] == "determinate-divergent"
+
+    def test_prints_the_drift_free_terms_it_judged(self, capsys):
+        # W's own terms carry e**-50 and read as a converging sum; the terms of W*e**-drift,
+        # which the verdict judges, stay above the threshold
+        doc = '{"kind": "atomic", "drift": 50.0, "sigma2": 0.0, "atoms": [[-0.5, 1.0]]}'
+        code, out, err = run(capsys, "determinacy", "--gen", "json", "--gen-json", doc)
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["verdict"] == "determinate-divergent"
+        assert report["last_term"] < 1e-20
+        assert report["drift_free_last_term"] >= 1e-6
+        assert report["drift_free_partial_sum"] > 1.0
+
+    def test_drift_free_terms_at_zero_drift_are_the_terms(self, capsys):
+        doc = '{"kind": "atomic", "drift": 0.0, "sigma2": 0.3, "atoms": [[-0.5, 1.0]]}'
+        report = json.loads(run(capsys, "determinacy", "--gen", "json", "--gen-json", doc)[1])
+        assert report["drift_free_partial_sum"] == report["partial_sum"]
+        assert report["drift_free_last_term"] == report["last_term"]
+
+    def test_an_infinite_drift_free_sum_prints_as_null(self, capsys):
+        # at rate 2000 the first drift-free term is e**865, past the float range; the drift
+        # keeps W's own terms finite
+        doc = '{"kind": "atomic", "drift": 1000.0, "sigma2": 0.0, "atoms": [[-1.0, 2000.0]]}'
+        code, out, err = run(capsys, "determinacy", "--gen", "json", "--gen-json", doc)
+        assert code == 0 and err == ""
+        assert "Infinity" not in out and "NaN" not in out
+        report = json.loads(out)
+        assert report["verdict"] == "determinate-divergent"
+        assert report["drift_free_partial_sum"] is None
+        assert report["drift_free_last_term"] == pytest.approx(math.exp(5.0), rel=1e-12)
 
 
 class TestGeneratorDocument:

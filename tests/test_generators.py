@@ -1,6 +1,7 @@
 import functools
 import math
 import operator
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -174,6 +175,20 @@ class TestSampleLogW:
         out = sample_logW(lp, 1_000_000, seed=42)
         n_mean = -out.mean()  # N = -log W here
         assert abs(n_mean - 1.0) < 3e-3
+
+    @pytest.mark.parametrize("name, value", [
+        ("count", 5.5), ("count", 5.0), ("count", True), ("count", "5"),
+        ("seed", 1.9), ("seed", np.float64(1.0)), ("seed", False), ("seed", None),
+    ])
+    def test_refuses_a_count_or_seed_that_is_not_an_integer(self, name, value):
+        # a seed of 1.9 used to draw seed 1's stream; a count of 5.5 failed inside NumPy
+        args = {"count": 5, "seed": 0, name: value}
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an int, got {value!r}")):
+            sample_logW(SL_LP, **args)
+
+    def test_accepts_numpy_integers(self):
+        got = sample_logW(SL_LP, np.int32(50), np.uint64(9))
+        assert got.tobytes() == sample_logW(SL_LP, 50, 9).tobytes()
 
     def test_seed_determinism(self):
         a = sample_logW(SL_LP, 10_000, seed=9)

@@ -11,6 +11,7 @@ import subprocess
 import sys
 
 import hscascade
+from hscascade import cascade
 from hscascade.cli import main
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -66,6 +67,18 @@ def test_simulate_spectrum_and_determinacy_load_no_scipy(tmp_path):
     done = subprocess.run([sys.executable, "-c", SCIPY_FREE, json.dumps(argvs)], cwd=tmp_path,
                           env=env, capture_output=True, text=True, timeout=120, check=True)
     assert json.loads(done.stdout) == [[0, 0, 0], []]
+
+
+def test_structure_csv_rebuilds_the_zeta_csv(tmp_path, monkeypatch, capsys):
+    # the README simulate's structure.csv carries the covariance that zeta.csv's errors come
+    # from, so estimating again from the file writes the same zeta.csv, byte for byte
+    monkeypatch.chdir(tmp_path)
+    (argv,) = [argv for argv in readme_commands() if argv[0] == "simulate"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    zhat = cascade.estimate_zeta(cascade.StructureTable.from_csv("structure.csv"))
+    zhat.to_csv("rebuilt.csv")
+    assert (tmp_path / "rebuilt.csv").read_bytes() == (tmp_path / "zeta.csv").read_bytes()
 
 
 def test_library_example():

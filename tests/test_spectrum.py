@@ -257,6 +257,11 @@ class TestCurve:
             with pytest.raises(ValueError, match=f"n_points must be an int, got {n_points!r}"):
                 spectrum_curve(SL, 1.0, n_points)
 
+    def test_accepts_a_numpy_integer(self):
+        # as SimConfig and sample_logW do
+        a, b = spectrum_curve(SL, 1.0, np.int64(64)), spectrum_curve(SL, 1.0, 64)
+        assert a.h.tobytes() == b.h.tobytes() and a.f.tobytes() == b.f.tobytes()
+
     @settings(max_examples=60, deadline=None)
     @given(gamma=st.floats(-10.0, 10.0), big_c=st.just(0.0) | st.floats(0.0, 10.0),
            beta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), k=st.integers(1, 6),
