@@ -142,7 +142,10 @@ class StructureTable:
     cov: np.ndarray | None = None
 
     def __post_init__(self):
-        _check_table(self, np.asarray(self.n).tolist())
+        levels = np.asarray(self.n).tolist()
+        for n in levels:
+            _check_level(n, n)
+        _check_table(self, levels)
         if self.cov is None:
             raise ValueError("cov: a structure table needs the covariance of ln_S over its rows")
 
@@ -222,11 +225,16 @@ def _uncell(text: str):
     return None if word == "" else float(word)
 
 
+def _check_level(n, shown) -> None:
+    """Refuse a level that is not an integer in [0, 2**53), where every integer is a float."""
+    if not (0 <= n < 2**53 and float(n).is_integer()):  # NaN fails the first test
+        raise ValueError(f"level n must be an integer in [0, 2**53), got {shown!r}")
+
+
 def _level(text: str) -> int:
-    """A level n cell: an integral number that fits a non-negative int64."""
+    """A level n cell, read through a float: exact, since _check_level refuses n >= 2**53."""
     n = float(text)
-    if not (0 <= n < 2**63 and n.is_integer()):  # NaN fails the first test
-        raise ValueError(f"level n must be an integer in [0, 2**63), got {text.strip()!r}")
+    _check_level(n, text.strip())
     return int(n)
 
 

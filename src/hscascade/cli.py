@@ -9,6 +9,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -99,8 +100,8 @@ def cmd_analyze(args) -> int:
     zhat = cascade.ZetaEstimate.from_csv(args.zeta_csv)
     series = cascade.estimate_deltas(zhat, args.k)
     report = symmetry.classify(series, tol=args.tol)
-    if report.verdict == "a1-holds":
-        report = symmetry.characterize(series, args.r, args.k, tol=args.tol)
+    if report.verdict == "a1-holds":  # what characterize returns, without a second fit
+        report = symmetry._with_logpoisson(report, args.r)
     text = report.to_json()
     if args.out:
         with open(args.out, "w") as fh:
@@ -201,6 +202,7 @@ def cmd_determinacy(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=1)  # one parser per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="hscascade",
@@ -236,7 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("stability", help="sweep a perturbation family over an epsilon grid")
     _add_law_flags(sp)
     sp.add_argument("--preset", choices=["split", "leak", "smear"], default="split")
-    sp.add_argument("--eps-grid", type=eps_grid, default=eps_grid("1e-1:1e-6"))
+    # a string default goes through `type` on every parse, so no call shares a list
+    sp.add_argument("--eps-grid", type=eps_grid, default="1e-1:1e-6")
     sp.add_argument("--u2", type=real, default=0.3, help="leak target location")
     sp.add_argument("--samples", type=_int_at_least(10_000, zero_ok=True), default=0,
                     help="also estimate multiplier-level W1 with this many samples (0: skip)")

@@ -257,6 +257,11 @@ def classify(series: DeltaSeries, tol: float | None = None) -> A1Report:
     )
 
 
+def _with_logpoisson(report: A1Report, r: float) -> A1Report:
+    """An a1-holds report with the log-Poisson triple of its law at scale ratio r."""
+    return replace(report, logpoisson=logpoisson_from_scaling(report.law, r))
+
+
 def characterize(series: DeltaSeries, r: float, k: int, tol: float | None = None) -> A1Report:
     """Full log-Poisson characterization of an a1-holds series."""
     if k != series.k:
@@ -266,4 +271,4 @@ def characterize(series: DeltaSeries, r: float, k: int, tol: float | None = None
         raise ValueError(
             f"series does not satisfy the hierarchical symmetry (verdict: {report.verdict})"
         )
-    return replace(report, logpoisson=logpoisson_from_scaling(report.law, r))
+    return _with_logpoisson(report, r)

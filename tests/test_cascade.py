@@ -643,13 +643,27 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="metadata must be a dict, got list"):
             table(**columns, metadata=[0.5])
 
-    @pytest.mark.parametrize("level", ["nan", "inf", "-inf", "2.5", "-3", "1e300"])
+    @pytest.mark.parametrize("level", ["nan", "inf", "-inf", "2.5", "-3", "1e300",
+                                       "9007199254740992", "9007199254740993"])
     def test_structure_table_rejects_a_bad_level(self, level):
-        # 1e300 is an integer, but past int64
+        # 1e300 is an integer, but past 2**53; 2**53 + 1 would read back as the float 2**53
         text = f"# {{}}\np,n,ln_S,se\n3,1,-0.5,0.01\n3,{level},-1.0,0.01\n"
         with pytest.raises(ValueError, match=re.escape(
-                f"row 4: level n must be an integer in [0, 2**63), got {level!r}")):
+                f"row 4: level n must be an integer in [0, 2**53), got {level!r}")):
             StructureTable.from_csv(io.StringIO(text))
+
+    @pytest.mark.parametrize("level", [-1, 2**53, 2**53 + 1, 2**63 - 1, 1.5])
+    def test_structure_table_refuses_a_level_it_cannot_write_exactly(self, level):
+        # the CSV writes a level through a float, exact below 2**53 only
+        with pytest.raises(ValueError, match=re.escape(
+                f"level n must be an integer in [0, 2**53), got {level!r}")):
+            StructureTable(p=np.array([3.0]), n=np.array([level]), ln_s=np.array([-0.5]),
+                           se=np.array([0.0]), cov=[[0.0]])
+
+    def test_largest_level_round_trips_exactly(self):
+        table = StructureTable(p=np.array([3.0]), n=np.array([2**53 - 1]), ln_s=np.array([-0.5]),
+                               se=np.array([0.0]), cov=[[0.0]])
+        assert StructureTable.from_csv(round_trip(table.to_csv)).n.tolist() == [2**53 - 1]
 
     @pytest.mark.parametrize("rows, message", [
         ("3,1,-0.5,0.01\n3,1,-0.9,0.01", "order p = 3.0 at level n = 1 appears in more than one row"),

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hscascade import cascade, symmetry
+from hscascade import cascade, cli, symmetry
 from hscascade.cli import eps_grid, main, real
 from hscascade.exponents import CascadeParams, ScalingLaw
 from hscascade.generators import logpoisson_from_scaling
@@ -212,6 +212,17 @@ class TestSimulateAnalyze:
         report = symmetry.characterize(series, 0.5, 3)
         assert out == report.to_json() + "\n"
 
+    def test_analyze_fits_once(self, tmp_path, monkeypatch, capsys):
+        # classify's fit carries the law; characterize would fit the same series again
+        monkeypatch.chdir(tmp_path)
+        simulate, analyze = readme_commands()[:2]
+        assert run(capsys, *simulate)[0] == 0
+        fit_a1, calls = symmetry.fit_a1, []
+        monkeypatch.setattr(symmetry, "fit_a1", lambda series: calls.append(1) or fit_a1(series))
+        code, out, _ = run(capsys, *analyze)
+        assert code == 0 and json.loads(out)["logpoisson"] is not None
+        assert len(calls) == 1
+
     def test_rerun_byte_identical(self, tmp_path, capsys):
         args = [
             "simulate", "--beta", "2/3", "--bigC", "2", "--gamma", "1/9",
@@ -264,6 +275,36 @@ class TestSimulateAnalyze:
                            "--k", "3", "--r", "0.5")
         assert code == 1
         assert json.loads(err)["error"] in ("OSError", "FileNotFoundError")
+
+
+class TestParserReuse:
+    """main builds its parser once per process, and reusing it changes no output."""
+
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_defaults_are_fresh_per_parse(self):
+        argv = ["stability", "--beta", "2/3", "--bigC", "2", "--r", "0.5"]
+        a, b = (cli.build_parser().parse_args(argv) for _ in range(2))
+        assert a.eps_grid == b.eps_grid == eps_grid("1e-1:1e-6")
+        assert a.eps_grid is not b.eps_grid
+
+    def test_errors_leave_the_next_commands_unchanged(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # the commands write structure.csv, zeta.csv, spectrum.csv
+
+        def readme_round():
+            outputs = [run(capsys, *argv) for argv in readme_commands()]
+            return outputs, {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())}
+
+        first = readme_round()
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--beta", "2/3", "--bigC", "2", "--r", "0.5", "--samples", "50"])
+        assert exc.value.code == 2 and "usage:" in capsys.readouterr().err
+        code, _, err = run(capsys, "analyze", "structure.csv", "--k", "3", "--r", "0.5")
+        assert code == 1 and json.loads(err)["error"] == "ValueError"
+        assert readme_round() == first
+        assert [code for code, _, _ in first[0]] == [0] * 6
+        assert sorted(first[1]) == ["spectrum.csv", "structure.csv", "zeta.csv"]
 
 
 class TestSpectrum:
