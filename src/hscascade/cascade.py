@@ -18,13 +18,14 @@ import json
 import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import closing, nullcontext
 from dataclasses import dataclass, field
+from decimal import Decimal, InvalidOperation
 
 import numpy as np
 
 from .exponents import CascadeParams, DeltaSeries, _check_order
-from .generators import _check_integers, _sample_rows
+from .generators import _check_integers, _cumulative_counts, _sample_rows, as_levy
 
 __all__ = [
     "SimConfig",
@@ -39,6 +40,9 @@ __all__ = [
 
 _FMT = "%.17g"
 _GROUPS = 100  # delete-a-group jackknife groups per (p, n) cell
+# one-atom laws below this jump rate take their cells from count histograms: their
+# cumulative counts at level n take ~n * rate + O(sqrt(n * rate)) values
+_COUNTS_RATE = 2.0
 
 
 def default_p_list(k: int) -> tuple:
@@ -232,10 +236,16 @@ def _check_level(n, shown) -> None:
 
 
 def _level(text: str) -> int:
-    """A level n cell, read through a float: exact, since _check_level refuses n >= 2**53."""
-    n = float(text)
-    _check_level(n, text.strip())
-    return int(n)
+    """A level n cell, parsed exactly: a value that is not an integer is refused, however close
+    to one it is, as is one that does not parse."""
+    word = text.strip()
+    try:
+        exact = Decimal(word)
+    except InvalidOperation:
+        exact = Decimal("NaN")
+    integral = exact.is_finite() and 0 <= exact < 2**53 and exact == exact.to_integral_value()
+    _check_level(int(exact) if integral else math.nan, word)  # so no int() of 1e999999999
+    return int(exact)
 
 
 def _read_csv(path, expected_header, cell=_uncell):
@@ -275,48 +285,90 @@ def _read_csv(path, expected_header, cell=_uncell):
     return meta, rows
 
 
-def _ln_mean_and_jackknife(z: np.ndarray) -> tuple:
-    """ln mean(exp(z)) and its _GROUPS delete-a-group jackknife replicates.
+def _group_cuts(ns: int) -> np.ndarray:
+    """The _GROUPS + 1 cuts s_g = g * ns // _GROUPS of ns samples into jackknife groups."""
+    return np.arange(_GROUPS + 1) * ns // _GROUPS
 
-    Group g is the slice z[s_g:s_(g+1)] with s_g = g * N // _GROUPS, and
-    its replicate is the ln-mean without it, m + ln((total - S_g)/(N - n_g))
-    from the group sums S_g of exp(z - m), with total - S_g floored at
-    1e-300 when the group holds all of the sum; so no log over N is taken.
-    Needs len(z) >= _GROUPS.  z is the scratch buffer: every step over N
-    runs in place in it, so a call allocates only the replicates and
-    leaves z overwritten.
+
+def _ln_mean_from_group_sums(m: float, total: float, sums: np.ndarray, ns: int) -> tuple:
+    """ln mean(exp(z)) and its _GROUPS delete-a-group jackknife replicates, from m and the
+    group sums S_g of exp(z - m) over the N = ns samples, and their total.
+
+    Group g is the samples s_g <= i < s_(g+1) with s_g = g * N // _GROUPS, and its
+    replicate is the ln-mean without it, m + ln((total - S_g)/(N - n_g)), with
+    total - S_g floored at 1e-300 when the group holds all of the sum; so no log over N
+    is taken.
+    """
+    ln_s = m + math.log(total / ns)
+    rest = np.maximum(total - sums, 1e-300)
+    cuts = _group_cuts(ns)
+    rest /= ns - (cuts[1:] - cuts[:-1])
+    return ln_s, m + np.log(rest)
+
+
+def _ln_mean_and_jackknife(z: np.ndarray) -> tuple:
+    """_ln_mean_from_group_sums of the samples z, with m = max(z), each group summed by
+    np.add.reduceat.
+
+    Needs len(z) >= _GROUPS.  z is the scratch buffer: every step over N runs in place in
+    it, so a call allocates only the replicates and leaves z overwritten.
     """
     ns = len(z)
     m = z.max()
     x = np.exp(np.subtract(z, m, out=z), out=z)
-    total = x.sum()
-    ln_s = m + math.log(total / ns)
-    starts = np.arange(_GROUPS) * ns // _GROUPS
-    rest = np.maximum(total - np.add.reduceat(x, starts), 1e-300)
-    rest /= ns - np.diff(starts, append=ns)
-    return ln_s, m + np.log(rest)
+    return _ln_mean_from_group_sums(m, x.sum(), np.add.reduceat(x, _group_cuts(ns)[:-1]), ns)
 
 
-def simulate(config: SimConfig, gen) -> StructureTable:
-    """Structure-function table ln S_p(r^n) for n = 1..n_levels.
+def _count_histogram(counts: np.ndarray) -> tuple:
+    """(j, hist): the jump counts j that occur, and hist[g, i], the number of samples of
+    jackknife group g (as in _ln_mean_from_group_sums) with count j[i], as floats.
 
-    Deterministic given the seed; the p = 0 rows are exactly zero.  Each
-    (p, n) cell also gets _GROUPS delete-a-group jackknife replicates of
-    ln S_p over contiguous groups of samples (zeros at p = 0), and the
-    table's cov is their delete-a-group covariance over the rows.
+    One np.bincount per group, so nothing the size of the sample is allocated.
+    """
+    cuts = _group_cuts(len(counts)).tolist()
+    parts = [np.bincount(counts[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
+    hist = np.zeros((_GROUPS, max(map(len, parts))))
+    for row, part in zip(hist, parts):
+        row[:len(part)] = part
+    j = np.flatnonzero(hist.any(axis=0))
+    return j, hist[:, j]
 
-    A two-stage pipeline: this thread draws level n+1 of log Phi while
-    one worker thread runs level n's jackknife cells, every order p != 0
-    in the worker's one scratch buffer.  Both stages spend their time in
-    NumPy calls that release the GIL.  Each cell is a pure function of
-    its level and each level is the sum the cumulative sum over levels
-    makes, so the results do not depend on timing and are the same bytes
-    as a serial run.  At most two levels wait for the worker, each level
-    is built in place in the row its draws fill, and every generator
-    fills its rows block by block (see generators._sample_rows), so
-    memory is O(n_samples) for the levels plus one block of counts,
-    jumps and normals, for every generator and any n_levels.
-    A table whose ln S_p or covariance overflows raises OverflowError.
+
+def _counts_suffice(g) -> bool:
+    """Whether log Phi(r^n) = n*drift + x*N for every sample, N its cumulative jump count:
+    at most one atom x, no tail and no Gaussian part; and whether N takes few values, at
+    a rate below _COUNTS_RATE."""
+    return (len(g.atoms) <= 1 and g.tail is None and g.sigma2 == 0.0
+            and (not g.atoms or g.atoms[0][1] < _COUNTS_RATE))
+
+
+def _cells_from_counts(p_list, log_phi: np.ndarray, hist: np.ndarray, ns: int) -> tuple:
+    """ln_S and replicates per order of one level from its count histogram (_count_histogram),
+    log_phi holding log Phi at each count: an order's group sums are hist @ exp(p*log_phi - m)."""
+    ln_s, reps = [], []
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as OverflowError by simulate
+        for p in p_list:
+            if p == 0.0:
+                cell = (0.0, np.zeros(_GROUPS))
+            else:
+                z = p * log_phi
+                m = z.max()
+                sums = hist @ np.exp(z - m)
+                cell = _ln_mean_from_group_sums(m, sums.sum(), sums, ns)
+            ln_s.append(cell[0])
+            reps.append(cell[1])
+    return np.array(ln_s), np.array(reps)
+
+
+def _cells_over_samples(config: SimConfig, g) -> list:
+    """Per level, ln_S and replicates per order from the samples of log Phi.
+
+    A two-stage pipeline: this thread draws level n+1 while one worker thread runs level
+    n's cells, every order p != 0 in the worker's one scratch buffer.  Both stages spend
+    their time in NumPy calls that release the GIL.  Each cell is a pure function of its
+    level and each level is the sum the cumulative sum over levels makes, so the results
+    do not depend on timing and are the same bytes as a serial run.  At most two levels
+    wait for the worker, and each level is built in place in the row its draws fill.
     """
     nl, ns = config.n_levels, config.n_samples
     z = np.empty(ns)  # the worker's scratch buffer, refilled for every (p, n)
@@ -329,20 +381,64 @@ def simulate(config: SimConfig, gen) -> StructureTable:
         return np.array(ln_s), np.array(reps)
 
     futures = []
-    with ThreadPoolExecutor(max_workers=1) as worker:
+    # closing() ends the rows, and so joins the count draws' helper thread, before the
+    # worker is shut down, on return and on error alike
+    with ThreadPoolExecutor(max_workers=1) as worker, \
+            closing(_sample_rows(g, nl, ns, config.seed)) as rows:
         # branch: log Phi(r^n) per sample, the running sum of the levels' draws, built in
         # place in the fresh row each level draws, which no other code holds
         branch = None
-        for row in _sample_rows(gen, nl, ns, config.seed):
+        for row in rows:
             if branch is not None:
-                with np.errstate(over="ignore"):  # the check below reports a non-finite level
+                with np.errstate(over="ignore"):  # simulate reports a non-finite level
                     row += branch
             branch = row
             if len(futures) >= 2:
                 futures[-2].result()  # level n-2 is done before level n is queued
             futures.append(worker.submit(cells, branch))
-        # per level, orders first -> orders x levels (x groups), p-major rows
-        ln_s, reps = (np.stack(part, axis=1) for part in zip(*(f.result() for f in futures)))
+        return [f.result() for f in futures]
+
+
+def simulate(config: SimConfig, gen) -> StructureTable:
+    """Structure-function table ln S_p(r^n) for n = 1..n_levels.
+
+    Deterministic given the seed; the p = 0 rows are exactly zero.  Each
+    (p, n) cell also gets _GROUPS delete-a-group jackknife replicates of
+    ln S_p over contiguous groups of samples (zeros at p = 0), and the
+    table's cov is their delete-a-group covariance over the rows.
+
+    A law with at most one atom x, no tail and no Gaussian part, at a jump
+    rate below _COUNTS_RATE (the log-Poisson laws of the paper among them),
+    has log Phi(r^n) = n*drift + x*N, N the sample's cumulative jump count.
+    Such a law draws only the counts, from sample_logW's stream, with a
+    helper thread that decodes half of each large draw
+    (generators._count_stream).  It keeps N in one int64 array and takes
+    each level's cells from the histogram of (group, N), J ~ n*rate values
+    wide: each order's group sums are hist @ exp(p*z_j - m) over the J
+    values z_j of p*log Phi.  So ln S and its covariance differ from sums
+    over the samples in their last digits only, and memory is the count
+    array plus one block of counts, for any n_levels.
+
+    Every other law sums over its samples of log Phi, drawn row by row
+    while one worker thread runs the previous level's cells
+    (_cells_over_samples); memory is O(n_samples) for the levels plus one
+    block of counts, jumps and normals (generators._sample_rows), for
+    every generator and any n_levels.  Either way no thread outlives the
+    call, on return or on error, and the results do not depend on timing.
+    A table whose ln S_p or covariance overflows raises OverflowError.
+    """
+    nl, ns = config.n_levels, config.n_samples
+    g = as_levy(gen)
+    if _counts_suffice(g):
+        x, rate = g.atoms[0] if g.atoms else (0.0, 0.0)
+        with closing(_cumulative_counts(rate, nl, ns, config.seed)) as rows:
+            # each histogram is taken before the next level adds its counts to the row
+            levels = [_cells_from_counts(config.p_list, n * g.drift + x * j, hist, ns)
+                      for n, (j, hist) in enumerate(map(_count_histogram, rows), 1)]
+    else:
+        levels = _cells_over_samples(config, g)
+    # per level, orders first -> orders x levels (x groups), p-major rows
+    ln_s, reps = (np.stack(part, axis=1) for part in zip(*levels))
     with np.errstate(over="ignore", invalid="ignore"):  # reported as OverflowError below
         cov = _jackknife_cov(reps.reshape(-1, _GROUPS).T)
     if not (np.isfinite(ln_s).all() and np.isfinite(cov).all()):

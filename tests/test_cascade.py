@@ -21,6 +21,7 @@ from hscascade.cascade import (
     ZetaEstimate,
     _jackknife_cov,
     _ln_mean_and_jackknife,
+    _ln_mean_from_group_sums,
     _read_csv,
     default_p_list,
     estimate_deltas,
@@ -32,6 +33,7 @@ from hscascade.exponents import CascadeParams, ScalingLaw, conservation_gamma, d
 from hscascade.generators import (
     LevyGenerator,
     StableTail,
+    as_levy,
     logpoisson_from_scaling,
     normalize_mean_one,
     sample_logW,
@@ -40,6 +42,7 @@ from hscascade.hausdorff import empirical_w1_multipliers, smear_perturbation
 from hscascade.spectrum import SpectrumCurve
 from hscascade.symmetry import classify
 from test_generators import SMALL_BLOCKS, block_laws, reference_sample_logW
+from test_generators import no_thread_left_behind  # noqa: F401 (autouse: applies here too)
 
 SL = ScalingLaw(gamma=1.0 / 9.0, big_c=2.0, beta=2.0 / 3.0, k=3)
 SL_LP = logpoisson_from_scaling(SL, 0.5)
@@ -161,6 +164,38 @@ def assert_same_table(table, reference):
     assert table.se.tobytes() == np.sqrt(np.diagonal(cov)).tobytes()
 
 
+def from_counts(gen) -> bool:
+    """Whether simulate takes gen's cells from count histograms: at most one atom, at a rate
+    below 2, no tail and no Gaussian part."""
+    g = as_levy(gen)
+    return (len(g.atoms) <= 1 and g.tail is None and g.sigma2 == 0.0
+            and sum(w for _, w in g.atoms) < 2.0)
+
+
+def assert_table_matches(table, reference, gen):
+    """assert_same_table off the count path.  On it the group sums come from count
+    histograms, so ln S and the replicates move by rounding only: ln S within 1e-13 x
+    max(1, |ln S|), and replicate g of a row within d = 1e-13 x (|ln S| + kappa), where
+    kappa = max_g total / (total - S_g) is the cancellation in the rest of the sum that a
+    dominant group leaves.  So cov_ij lies within 1e-12 x max |cov| + 2 sqrt(G) (d_i se_j +
+    d_j se_i).  (Measured at 2.2e-16 x kappa for kappa up to 3e6; and on the canonical and
+    mean-one laws at 8 x 100k and 8 x 1M, seeds 0, 3, 17, within 3.6e-15 in ln S and
+    3.0e-14 x max |cov|: TestCountPath.test_canonical_laws.)"""
+    if not from_counts(gen):
+        assert_same_table(table, reference)
+        return
+    ln_s, reps = reference
+    cov = _jackknife_cov(reps.T)
+    ns = table.metadata["n_samples"]
+    sizes = np.diff(np.arange(cascade._GROUPS + 1) * ns // cascade._GROUPS)
+    kappa = (np.exp(ln_s[:, None] - reps) * ns / (ns - sizes)).max(axis=1)
+    d, se = 1e-13 * (np.abs(ln_s) + kappa), np.sqrt(np.diagonal(cov))
+    bound = 1e-12 * np.abs(cov).max() + 2 * math.sqrt(cascade._GROUPS) * (
+        np.outer(d, se) + np.outer(se, d))
+    assert (np.abs(table.ln_s - ln_s) <= 1e-13 * np.maximum(1.0, np.abs(ln_s))).all()
+    assert (np.abs(table.cov - cov) <= bound).all()
+
+
 @st.composite
 def cascade_generators(draw):
     """One atom, 2-40 atoms or a StableTail, each with or without a Gaussian part."""
@@ -215,7 +250,8 @@ class TestJackknife:
 
 
 class TestPipeline:
-    """The pipelined simulate returns the serial one's bytes and cleans up after a failure."""
+    """The pipelined simulate returns the serial one's bytes, or on the count path its values
+    to the last digits, and cleans up after a failure."""
 
     @settings(max_examples=60, deadline=None)
     @given(gen=cascade_generators(), n_levels=st.integers(2, 6),
@@ -224,7 +260,7 @@ class TestPipeline:
     def test_matches_reference(self, gen, n_levels, n_samples, seed, p_list):
         cfg = SimConfig(params=CascadeParams(r=0.5, k=3), n_levels=n_levels,
                         n_samples=n_samples, seed=seed, p_list=p_list)
-        assert_same_table(simulate(cfg, gen), reference_simulate(cfg, gen))
+        assert_table_matches(simulate(cfg, gen), reference_simulate(cfg, gen), gen)
 
     @settings(max_examples=40, deadline=None)
     @given(gen=block_laws(), n_levels=st.integers(2, 4), n_samples=st.integers(100, 400),
@@ -236,7 +272,7 @@ class TestPipeline:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(gens_module, "_BLOCK", block)
             table = simulate(cfg, gen)
-        assert_same_table(table, reference)
+        assert_table_matches(table, reference, gen)
 
     def test_matches_reference_across_a_block(self):
         cfg = SimConfig(params=CascadeParams(r=0.5, k=3), n_levels=2,
@@ -244,35 +280,88 @@ class TestPipeline:
         gen = LevyGenerator(drift=0.1, sigma2=0.2, atoms=((-0.3, 1.0), (0.1, 0.4)))
         assert_same_table(simulate(cfg, gen), reference_simulate(cfg, gen, reference_sample_logW))
 
-    def test_matches_reference_under_fast_thread_switching(self):
-        # both threads read the levels; a switch every microsecond would expose
-        # any write to an array the other thread still reads
-        cfg = SimConfig(params=CascadeParams(r=0.5, k=3), n_levels=6, n_samples=20_000, seed=0)
-        reference = reference_simulate(cfg, SL_LP)
+    @pytest.mark.parametrize("gen", [
+        SL_LP, LevyGenerator(drift=SL_LP.a, sigma2=0.2, atoms=((SL_LP.b, SL_LP.lam),)),
+    ], ids=["count path", "sample path"])
+    def test_matches_reference_under_fast_thread_switching(self, gen):
+        # the worker reads the levels and the helper thread draws half of each block's
+        # counts; a switch every microsecond would expose any write to an array another
+        # thread still reads, and any draw that depends on timing
+        cfg = SimConfig(params=CascadeParams(r=0.5, k=3), n_levels=6, n_samples=40_000, seed=0)
+        reference = reference_simulate(cfg, gen)
+        first = simulate(cfg, gen)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            tables = [simulate(cfg, SL_LP) for _ in range(5)]
+            tables = [simulate(cfg, gen) for _ in range(5)]
         finally:
             sys.setswitchinterval(interval)
+        assert_table_matches(first, reference, gen)
         for table in tables:
-            assert_same_table(table, reference)
+            assert table.ln_s.tobytes() == first.ln_s.tobytes()
+            assert table.cov.tobytes() == first.cov.tobytes()
 
-    def test_worker_error_is_raised_and_the_thread_ends(self, monkeypatch):
+    @pytest.mark.parametrize("gen", [
+        SL_LP, LevyGenerator(drift=SL_LP.a, sigma2=0.2, atoms=((SL_LP.b, SL_LP.lam),)),
+    ], ids=["count path", "sample path"])
+    def test_cell_error_is_raised_and_the_threads_end(self, monkeypatch, gen):
+        # the count path runs its cells on this thread, the sample path on the worker; at
+        # 40k samples the counts' helper thread runs too when the third cell fails
         calls = []
 
-        def third_call_fails(z):
+        def third_call_fails(*args):
             calls.append(None)
             if len(calls) == 3:
                 raise RuntimeError("third cell")
-            return _ln_mean_and_jackknife(z)
+            return _ln_mean_from_group_sums(*args)
 
-        monkeypatch.setattr(cascade, "_ln_mean_and_jackknife", third_call_fails)
-        cfg = SimConfig(params=CascadeParams(r=0.5, k=3), n_levels=6, n_samples=1000, seed=0)
+        monkeypatch.setattr(cascade, "_ln_mean_from_group_sums", third_call_fails)
+        cfg = SimConfig(params=CascadeParams(r=0.5, k=3), n_levels=6, n_samples=40_000, seed=0)
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match="third cell"):
-            simulate(cfg, SL_LP)
+            simulate(cfg, gen)
         assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("gen, error", [
+        (LevyGenerator(atoms=((-1.0, 1e8),)), ValueError),  # past the rate cap
+        (LevyGenerator(drift=-1e200, atoms=((SL_LP.b, SL_LP.lam),)), OverflowError),
+    ], ids=["rate cap", "overflow"])
+    def test_no_thread_left_after_a_raise(self, gen, error):
+        cfg = SimConfig(params=CascadeParams(r=0.5, k=3), n_levels=3, n_samples=40_000, seed=0)
+        threads = threading.active_count()
+        with pytest.raises(error):
+            simulate(cfg, gen)
+        assert threading.active_count() == threads
+
+
+class TestCountPath:
+    """One-atom laws below rate 2 without a tail or a Gaussian part take their cells from
+    histograms of (group, cumulative jump count)."""
+
+    @pytest.mark.parametrize("seed", [0, 3, 17])
+    @pytest.mark.parametrize("gen", [SL_LP, normalize_mean_one(SL_LP)],
+                             ids=["canonical", "mean one"])
+    def test_canonical_laws(self, gen, seed):
+        # the bounds of the measurement (3.6e-15 and 3.0e-14 x max |cov| at 8 x 100k and 1M)
+        cfg = SimConfig(params=CascadeParams(r=0.5, k=3), n_levels=8, n_samples=100_000,
+                        seed=seed)
+        table = simulate(cfg, gen)
+        ln_s, reps = reference_simulate(cfg, gen)
+        cov = _jackknife_cov(reps.T)
+        assert np.abs(table.ln_s - ln_s).max() <= 1e-13
+        assert np.abs(table.cov - cov).max() <= 1e-12 * np.abs(cov).max()
+
+    @pytest.mark.parametrize("ns", [100, 150, 1234])
+    def test_histogram_of_groups_and_counts(self, ns):
+        counts = np.random.default_rng(ns).poisson(3.0, ns)
+        counts[ns // 2] = 40  # far past the others: the empty columns between are left out of j
+        groups = np.repeat(np.arange(cascade._GROUPS), np.diff(
+            np.arange(cascade._GROUPS + 1) * ns // cascade._GROUPS))
+        want = np.zeros((cascade._GROUPS, 41))
+        np.add.at(want, (groups, counts), 1.0)
+        j, hist = cascade._count_histogram(counts)
+        assert j.tolist() == np.flatnonzero(want.any(axis=0)).tolist()
+        assert hist.tobytes() == want[:, j].tobytes()
 
 
 STABLE_TAIL_LAW = LevyGenerator(drift=SL_LP.a, tail=StableTail(alpha=0.5, c=0.05, x_min=1e-4,
@@ -312,6 +401,14 @@ class TestMemory:
         cfg = SimConfig(params=CascadeParams(r=0.5, k=3), n_levels=8, n_samples=125_000, seed=0)
         peak = self.traced_peak(lambda: simulate(cfg, SL_LP))
         assert peak <= 4 * 8 * 8 * 125_000
+
+    @pytest.mark.parametrize("gen", [SL_LP, normalize_mean_one(SL_LP)], ids=["canonical", "mean one"])
+    def test_simulate_from_counts(self, gen):
+        # the running counts, one block of counts and its two halves' draws, and the tiny
+        # count histograms: 3.10-3.18 x at 8 and 16 levels (5.82 x summing over the samples)
+        cfg = SimConfig(params=CascadeParams(r=0.5, k=3), n_levels=8, n_samples=125_000, seed=0)
+        peak = self.traced_peak(lambda: simulate(cfg, gen))
+        assert peak <= 4 * 8 * 125_000
 
     def test_simulate_independent_of_levels(self):
         # the pipelined simulate keeps a few levels, not all 16: at most 10 x (8 B x n_samples)
@@ -644,9 +741,13 @@ class TestCsvRoundTrip:
             table(**columns, metadata=[0.5])
 
     @pytest.mark.parametrize("level", ["nan", "inf", "-inf", "2.5", "-3", "1e300",
-                                       "9007199254740992", "9007199254740993"])
+                                       "9007199254740992", "9007199254740993",
+                                       "1.0000000000000001", "4503599627370497.25", "1e999999999",
+                                       "1/2", "three"])
     def test_structure_table_rejects_a_bad_level(self, level):
-        # 1e300 is an integer, but past 2**53; 2**53 + 1 would read back as the float 2**53
+        # 1e300 is an integer, but past 2**53; 2**53 + 1 would read back as the float 2**53;
+        # 1.0000000000000001 and 4503599627370497.25 are no integers, though a float rounds
+        # them to one
         text = f"# {{}}\np,n,ln_S,se\n3,1,-0.5,0.01\n3,{level},-1.0,0.01\n"
         with pytest.raises(ValueError, match=re.escape(
                 f"row 4: level n must be an integer in [0, 2**53), got {level!r}")):

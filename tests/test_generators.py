@@ -2,6 +2,8 @@ import functools
 import math
 import operator
 import re
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -16,8 +18,12 @@ from hscascade.exponents import ScalingLaw, zeta
 from hscascade.generators import (
     LevyGenerator,
     _BLOCK,
+    _SPLIT_MIN,
     _bucketed_pick,
+    _count_stream,
+    _position,
     _sample_rows,
+    _split_poisson,
     LogPoissonParams,
     StableTail,
     as_levy,
@@ -38,6 +44,15 @@ from hscascade.hausdorff import empirical_w1_multipliers, split_perturbation
 SL = ScalingLaw(gamma=1.0 / 9.0, big_c=2.0, beta=2.0 / 3.0, k=3)
 SL_LP = logpoisson_from_scaling(SL, 0.5)
 LOGNORMAL = LevyGenerator(drift=-0.1, sigma2=0.2)
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_behind():
+    """Fail a test that ends with more threads running than it started with: the counts'
+    helper thread and simulate's worker are joined before the call that started them ends."""
+    threads = threading.active_count()
+    yield
+    assert threading.active_count() <= threads, threading.enumerate()
 
 
 def random_law(rng):
@@ -693,6 +708,113 @@ class TestCountTable:
             sample_logW(gen, 10, 0)
         with pytest.raises(ValueError, match="cap of 16777216"):
             next(_sample_rows(gen, 3, 10, 0))
+
+
+# rates below the table rate at its ends and at the canonical law's 2 ln 2
+SPLIT_RATES = [1e-3, 2.0 * math.log(2.0), 1.9999]
+
+
+class TestSplitCounts:
+    """Drawn by two threads, the counts below the table rate are one Generator.poisson call's,
+    and the stream goes on from where that call leaves it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(rate=st.sampled_from(SPLIT_RATES) | st.floats(0.0, 2.0, exclude_min=True,
+                                                         exclude_max=True),
+           n=st.sampled_from([2, _SPLIT_MIN - 1, _SPLIT_MIN, _SPLIT_MIN + 1, _BLOCK - 1, _BLOCK,
+                              _BLOCK + 1]) | st.integers(2, 2 * _BLOCK),
+           lead=st.integers(0, 7), seed=st.integers(0, 2**128 - 1))
+    def test_one_poisson_call(self, rate, n, lead, seed):
+        # `lead` uniforms first leave the bit generator at any point of Philox's 4-output buffer
+        counts, want = (np.random.Generator(np.random.Philox(key=seed)) for _ in range(2))
+        counts.random(lead)
+        want.random(lead)
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            got = _split_poisson(counts, seed, rate, n, helper)
+        assert got.tobytes() == want.poisson(rate, n).tobytes()
+        assert counts.random(5).tobytes() == want.random(5).tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(rate=st.sampled_from(SPLIT_RATES),
+           sizes=st.lists(st.sampled_from([1, _SPLIT_MIN - 1, _SPLIT_MIN, _BLOCK, _BLOCK + 1]),
+                          min_size=1, max_size=3),
+           seed=st.integers(0, 2**128 - 1))
+    def test_draws_across_the_split_size(self, rate, sizes, seed):
+        # draws below _SPLIT_MIN stay on one thread and the others split; in turn they are
+        # one call's counts
+        with _count_stream(rate, seed) as draw:
+            got = np.concatenate([draw(n) for n in sizes])
+        want = np.random.Generator(np.random.Philox(key=seed)).poisson(rate, sum(sizes))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rate", SPLIT_RATES)
+    def test_a_missed_overlap_falls_back(self, monkeypatch, rate):
+        # a negative margin starts the helper past the first half's end, so no count joins
+        joins, joined_at = [], gens_module._joined_at
+        monkeypatch.setattr(gens_module, "_joined_at",
+                            lambda *args: joins.append(joined_at(*args)) or joins[-1])
+        monkeypatch.setattr(gens_module, "_SPLIT_MARGIN", -8.0)
+        gen = LevyGenerator(drift=0.1, atoms=((-0.3, rate),))
+        for seed in (0, 2**128 - 1):
+            got = sample_logW(gen, 300_000, seed)
+            assert got.tobytes() == reference_sample_logW(gen, 300_000, seed).tobytes()
+        assert joins and set(joins) == {None}
+
+    @pytest.mark.parametrize("rate", SPLIT_RATES)
+    def test_poisson_takes_one_output_more_than_its_count(self, rate):
+        # the split rests on this: Generator.poisson below rate 10 consumes n + sum(N) of
+        # Philox's 64-bit outputs, so a NumPy that draws otherwise fails here, not slowly
+        for seed in (0, 7, 2**128 - 1):
+            bits = np.random.Philox(key=seed)
+            got = np.random.Generator(bits).poisson(rate, 1000)
+            assert _position(bits) == 1000 + int(got.sum())
+            again = np.random.Philox(key=seed)
+            again.advance(_position(bits) // 4)
+            again.random_raw(_position(bits) % 4)
+            assert again.random_raw(3).tolist() == bits.random_raw(3).tolist()
+
+    def test_canonical_draw_splits_every_block(self, monkeypatch):
+        # simulate's 8 x 100k canonical draw takes the split on each of its 8 blocks
+        from hscascade.cascade import SimConfig, simulate
+        from hscascade.exponents import CascadeParams
+
+        joins, joined_at = [], gens_module._joined_at
+        monkeypatch.setattr(gens_module, "_joined_at",
+                            lambda *args: joins.append(joined_at(*args)) or joins[-1])
+        simulate(SimConfig(params=CascadeParams(r=0.5, k=3), n_levels=8, n_samples=100_000,
+                           seed=0), SL_LP)
+        assert len(joins) == 8 and None not in joins
+
+
+class TestHelperThread:
+    """The counts' helper thread ends when the draw that started it does."""
+
+    def test_lives_with_the_rows_and_ends_on_close(self):
+        threads = threading.active_count()
+        rows = _sample_rows(SL_LP, 3, 100_000, 0)
+        next(rows)
+        assert threading.active_count() == threads + 1
+        rows.close()
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("draw", [
+        lambda: sample_logW(SL_LP, 100_000, 0),
+        lambda: empirical_w1_multipliers(split_perturbation(SL_LP, 3, 0.05), SL_LP, 100_000, 0),
+    ], ids=["sample_logW", "empirical_w1_multipliers"])
+    def test_none_left_after_a_return(self, draw):
+        threads = threading.active_count()
+        draw()
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("gen, error", [
+        (LevyGenerator(atoms=((-1.0, 1e8),)), ValueError),  # past the rate cap
+        (LevyGenerator(drift=800.0, atoms=((SL_LP.b, SL_LP.lam),)), OverflowError),  # W = inf
+    ], ids=["rate cap", "overflow"])
+    def test_none_left_after_a_raise(self, gen, error):
+        threads = threading.active_count()
+        with pytest.raises(error):
+            empirical_w1_multipliers(gen, SL_LP, 100_000, 0)
+        assert threading.active_count() == threads
 
 
 class TestSampleRows:
