@@ -24,8 +24,8 @@ from decimal import Decimal, InvalidOperation
 
 import numpy as np
 
-from .exponents import CascadeParams, DeltaSeries, _check_order
-from .generators import _check_integers, _cumulative_counts, _sample_rows, as_levy
+from .exponents import CascadeParams, DeltaSeries, _check_integers, _check_order
+from .generators import _cumulative_counts, _sample_rows, as_levy
 
 __all__ = [
     "SimConfig",
@@ -290,38 +290,37 @@ def _group_cuts(ns: int) -> np.ndarray:
     return np.arange(_GROUPS + 1) * ns // _GROUPS
 
 
-def _ln_mean_from_group_sums(m: float, total: float, sums: np.ndarray, ns: int) -> tuple:
-    """ln mean(exp(z)) and its _GROUPS delete-a-group jackknife replicates, from m and the
-    group sums S_g of exp(z - m) over the N = ns samples, and their total.
+def _level_cells(p_list, z: np.ndarray, ns: int, group_sums, out=None) -> tuple:
+    """ln_S per order of one level and its _GROUPS delete-a-group jackknife replicates, as an
+    array over p_list and one of p_list x groups; zeros at p = 0.
 
-    Group g is the samples s_g <= i < s_(g+1) with s_g = g * N // _GROUPS, and its
-    replicate is the ln-mean without it, m + ln((total - S_g)/(N - n_g)), with
-    total - S_g floored at 1e-300 when the group holds all of the sum; so no log over N
-    is taken.
+    z holds the level's values of log Phi, and group_sums(e) returns the total and the
+    _GROUPS group sums S_g over the ns samples of e = exp(p*z - m), m = max(p*z): group g is
+    the samples s_g <= i < s_(g+1) with s_g = g * ns // _GROUPS.  Its replicate is the
+    ln-mean without it, m + ln((total - S_g)/(ns - n_g)), with total - S_g floored at
+    1e-300 when the group holds all of the sum; so no log over ns is taken.  Each order's
+    p*z is built in `out` when given, and every later step over it runs in place there.
     """
-    ln_s = m + math.log(total / ns)
-    rest = np.maximum(total - sums, 1e-300)
     cuts = _group_cuts(ns)
-    rest /= ns - (cuts[1:] - cuts[:-1])
-    return ln_s, m + np.log(rest)
-
-
-def _ln_mean_and_jackknife(z: np.ndarray) -> tuple:
-    """_ln_mean_from_group_sums of the samples z, with m = max(z), each group summed by
-    np.add.reduceat.
-
-    Needs len(z) >= _GROUPS.  z is the scratch buffer: every step over N runs in place in
-    it, so a call allocates only the replicates and leaves z overwritten.
-    """
-    ns = len(z)
-    m = z.max()
-    x = np.exp(np.subtract(z, m, out=z), out=z)
-    return _ln_mean_from_group_sums(m, x.sum(), np.add.reduceat(x, _group_cuts(ns)[:-1]), ns)
+    rest_sizes = ns - (cuts[1:] - cuts[:-1])
+    ln_s, reps = np.zeros(len(p_list)), np.zeros((len(p_list), _GROUPS))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as OverflowError by simulate
+        for i, p in enumerate(p_list):
+            if p == 0.0:
+                continue
+            x = np.multiply(p, z, out=out)
+            m = x.max()
+            total, sums = group_sums(np.exp(np.subtract(x, m, out=x), out=x))
+            ln_s[i] = m + math.log(total / ns)
+            rest = np.maximum(total - sums, 1e-300)
+            rest /= rest_sizes
+            reps[i] = m + np.log(rest)
+    return ln_s, reps
 
 
 def _count_histogram(counts: np.ndarray) -> tuple:
     """(j, hist): the jump counts j that occur, and hist[g, i], the number of samples of
-    jackknife group g (as in _ln_mean_from_group_sums) with count j[i], as floats.
+    jackknife group g (as in _level_cells) with count j[i], as floats.
 
     One np.bincount per group, so nothing the size of the sample is allocated.
     """
@@ -342,26 +341,9 @@ def _counts_suffice(g) -> bool:
             and (not g.atoms or g.atoms[0][1] < _COUNTS_RATE))
 
 
-def _cells_from_counts(p_list, log_phi: np.ndarray, hist: np.ndarray, ns: int) -> tuple:
-    """ln_S and replicates per order of one level from its count histogram (_count_histogram),
-    log_phi holding log Phi at each count: an order's group sums are hist @ exp(p*log_phi - m)."""
-    ln_s, reps = [], []
-    with np.errstate(over="ignore", invalid="ignore"):  # reported as OverflowError by simulate
-        for p in p_list:
-            if p == 0.0:
-                cell = (0.0, np.zeros(_GROUPS))
-            else:
-                z = p * log_phi
-                m = z.max()
-                sums = hist @ np.exp(z - m)
-                cell = _ln_mean_from_group_sums(m, sums.sum(), sums, ns)
-            ln_s.append(cell[0])
-            reps.append(cell[1])
-    return np.array(ln_s), np.array(reps)
-
-
 def _cells_over_samples(config: SimConfig, g) -> list:
-    """Per level, ln_S and replicates per order from the samples of log Phi.
+    """Per level, _level_cells over the samples of log Phi, each group summed by
+    np.add.reduceat.
 
     A two-stage pipeline: this thread draws level n+1 while one worker thread runs level
     n's cells, every order p != 0 in the worker's one scratch buffer.  Both stages spend
@@ -371,14 +353,11 @@ def _cells_over_samples(config: SimConfig, g) -> list:
     wait for the worker, and each level is built in place in the row its draws fill.
     """
     nl, ns = config.n_levels, config.n_samples
+    starts = _group_cuts(ns)[:-1]
     z = np.empty(ns)  # the worker's scratch buffer, refilled for every (p, n)
 
-    def cells(level):  # ln_S and replicates per order of one level, in the worker
-        with np.errstate(over="ignore", invalid="ignore"):  # reported as OverflowError below
-            ln_s, reps = zip(*[(0.0, np.zeros(_GROUPS)) if p == 0.0
-                               else _ln_mean_and_jackknife(np.multiply(p, level, out=z))
-                               for p in config.p_list])
-        return np.array(ln_s), np.array(reps)
+    def group_sums(e):
+        return e.sum(), np.add.reduceat(e, starts)
 
     futures = []
     # closing() ends the rows, and so joins the count draws' helper thread, before the
@@ -395,7 +374,7 @@ def _cells_over_samples(config: SimConfig, g) -> list:
             branch = row
             if len(futures) >= 2:
                 futures[-2].result()  # level n-2 is done before level n is queued
-            futures.append(worker.submit(cells, branch))
+            futures.append(worker.submit(_level_cells, config.p_list, branch, ns, group_sums, z))
         return [f.result() for f in futures]
 
 
@@ -415,7 +394,7 @@ def simulate(config: SimConfig, gen) -> StructureTable:
     (generators._count_stream).  It keeps N in one int64 array and takes
     each level's cells from the histogram of (group, N), J ~ n*rate values
     wide: each order's group sums are hist @ exp(p*z_j - m) over the J
-    values z_j of p*log Phi.  So ln S and its covariance differ from sums
+    values z_j of log Phi.  So ln S and its covariance differ from sums
     over the samples in their last digits only, and memory is the count
     array plus one block of counts, for any n_levels.
 
@@ -423,9 +402,11 @@ def simulate(config: SimConfig, gen) -> StructureTable:
     while one worker thread runs the previous level's cells
     (_cells_over_samples); memory is O(n_samples) for the levels plus one
     block of counts, jumps and normals (generators._sample_rows), for
-    every generator and any n_levels.  Either way no thread outlives the
-    call, on return or on error, and the results do not depend on timing.
-    A table whose ln S_p or covariance overflows raises OverflowError.
+    every generator and any n_levels.  Both paths run one cell routine,
+    _level_cells, each with its own group sums.  Either way no thread
+    outlives the call, on return or on error, and the results do not
+    depend on timing.  A table whose ln S_p or covariance overflows raises
+    OverflowError.
     """
     nl, ns = config.n_levels, config.n_samples
     g = as_levy(gen)
@@ -433,7 +414,8 @@ def simulate(config: SimConfig, gen) -> StructureTable:
         x, rate = g.atoms[0] if g.atoms else (0.0, 0.0)
         with closing(_cumulative_counts(rate, nl, ns, config.seed)) as rows:
             # each histogram is taken before the next level adds its counts to the row
-            levels = [_cells_from_counts(config.p_list, n * g.drift + x * j, hist, ns)
+            levels = [_level_cells(config.p_list, n * g.drift + x * j, ns,
+                                   lambda e: ((s := hist @ e).sum(), s))
                       for n, (j, hist) in enumerate(map(_count_histogram, rows), 1)]
     else:
         levels = _cells_over_samples(config, g)

@@ -16,6 +16,7 @@ to call concurrently.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +54,18 @@ def _check_beta(beta: float) -> float:
     return beta
 
 
+def _check_ratio(r) -> None:
+    if not (0.0 < r < 1.0):
+        raise ValueError(f"scale ratio r must lie in (0,1), got {r}")
+
+
+def _check_integers(**values) -> None:
+    """Refuse a value that is not a Python or NumPy integer (a bool included), by name."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CascadeParams:
     """Scale ratio r and hierarchy step k."""
@@ -61,8 +74,7 @@ class CascadeParams:
     k: int = 1
 
     def __post_init__(self):
-        if not (0.0 < self.r < 1.0):
-            raise ValueError(f"scale ratio r must lie in (0,1), got {self.r}")
+        _check_ratio(self.r)
         if int(self.k) != self.k or self.k < 1:
             raise ValueError(f"hierarchy step k must be a positive integer, got {self.k}")
         object.__setattr__(self, "k", int(self.k))
@@ -103,8 +115,7 @@ class ScalingLaw:
 
     def a_constant(self, r: float) -> float:
         """(delta0 - delta_inf) * ln r, the total mass constant at scale ratio r."""
-        if not (0.0 < r < 1.0):
-            raise ValueError(f"scale ratio r must lie in (0,1), got {r}")
+        _check_ratio(r)
         return (self.delta0 - self.delta_inf) * math.log(r)
 
 

@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing, contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exponents import DeltaSeries, ScalingLaw, _check_order
+from .exponents import DeltaSeries, ScalingLaw, _check_integers, _check_order, _check_ratio
 
 __all__ = [
     "LogPoissonParams",
@@ -141,8 +140,7 @@ def logpoisson_from_scaling(law: ScalingLaw, r: float) -> LogPoissonParams:
 
     a = gamma*ln r, b = ln(beta)/k, lam = -C*ln r.
     """
-    if not (0.0 < r < 1.0):
-        raise ValueError(f"scale ratio r must lie in (0,1), got {r}")
+    _check_ratio(r)
     if not law.big_c > 0:
         raise ValueError(
             "monofractal: C = 0 makes the multiplier deterministic; "
@@ -202,8 +200,7 @@ def ln_moment(gen, p):
 
 def _analytic_deltas(gen, r: float, k: int, m_max: int) -> np.ndarray:
     """The deltas of delta_series_analytic as an array; a non-finite one raises as in DeltaSeries."""
-    if not (0.0 < r < 1.0):
-        raise ValueError(f"scale ratio r must lie in (0,1), got {r}")
+    _check_ratio(r)
     if k < 1:
         raise ValueError(f"hierarchy step k must be >= 1, got {k}")
     if m_max < 2:
@@ -260,13 +257,6 @@ def sample_logW(gen, count: int, seed: int) -> np.ndarray:
         raise ValueError(f"count must be >= 1, got {count}")
     with closing(_sample_rows(gen, 1, count, seed)) as rows:  # joins the helper thread now
         return next(rows)
-
-
-def _check_integers(**values) -> None:
-    """Refuse a value that is not a Python or NumPy integer (a bool included), by name."""
-    for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an int, got {value!r}")
 
 
 def _bucketed_pick(edges: np.ndarray):

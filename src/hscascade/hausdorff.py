@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .exponents import recurrence_residual
+from .exponents import _check_beta, _check_ratio, recurrence_residual
 from .generators import (
     LevyGenerator,
     LogPoissonParams,
@@ -185,11 +185,16 @@ def stability_constant(beta: float, r: float, A: float) -> float:
     """K = sqrt((1+beta)**2 * |ln r| / |A|)."""
     if A == 0:
         raise ValueError("monofractal: A = 0 makes the stability bound vacuous")
-    if not (0.0 < r < 1.0):
-        raise ValueError(f"scale ratio r must lie in (0,1), got {r}")
-    if not (0.0 < beta < 1.0):
-        raise ValueError(f"beta must lie in (0,1), got {beta}")
+    _check_ratio(r)
+    _check_beta(beta)
     return math.sqrt((1.0 + beta) ** 2 * abs(math.log(r)) / abs(A))
+
+
+def _reference(ref: LogPoissonParams, k: int) -> tuple:
+    """(beta, A) = (e**(b*k), lam*(beta - 1)): the jump location on (0,1) of a log-Poisson
+    reference at step k, and its mass constant."""
+    beta = math.exp(ref.b * k)
+    return beta, ref.lam * (beta - 1.0)
 
 
 def a1_residual_vs_reference(gen, ref: LogPoissonParams, r: float, k: int, m_max: int) -> float:
@@ -202,7 +207,7 @@ def a1_residual_vs_reference(gen, ref: LogPoissonParams, r: float, k: int, m_max
     """
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
-    beta = math.exp(ref.b * k)
+    beta, _ = _reference(ref, k)
     delta_inf = ref.a * k / math.log(r)
     deltas = _analytic_deltas(gen, r, k, m_max + 1)
     return recurrence_residual(np.arange(m_max + 2), deltas, beta, delta_inf)
@@ -225,8 +230,7 @@ def verify_stability(
     the point mass at beta.  When n_samples is given, the sampled
     multiplier-level distance is attached as well.
     """
-    beta = math.exp(gen_ref.b * k)
-    A = gen_ref.lam * (beta - 1.0)
+    beta, A = _reference(gen_ref, k)
     eps = a1_residual_vs_reference(gen_perturbed, gen_ref, r, k, _M_MAX)
     nu_tilde = pushforward_to_unit(gen_perturbed, k)
     _, eta, _ = rho_eta(nu_tilde)
@@ -279,7 +283,7 @@ def split_perturbation(ref: LogPoissonParams, k: int, s: float) -> LevyGenerator
     Masses are equal (lam/2 each), which keeps the total jump rate and
     the mass constant A matched to the reference.
     """
-    beta = math.exp(ref.b * k)
+    beta, _ = _reference(ref, k)
     if not (0.0 < s < min(beta, 1.0 - beta)):
         raise ValueError(f"split width s must lie in (0, {min(beta, 1.0 - beta)}), got {s}")
     atoms = (
@@ -291,12 +295,11 @@ def split_perturbation(ref: LogPoissonParams, k: int, s: float) -> LevyGenerator
 
 def leak_perturbation(ref: LogPoissonParams, k: int, u2: float, theta: float) -> LevyGenerator:
     """Leak a mass fraction theta to a second location u2, A matched."""
-    beta = math.exp(ref.b * k)
+    beta, A = _reference(ref, k)
     if not (0.0 < u2 < 1.0) or u2 == beta:
         raise ValueError("u2 must lie in (0,1) and differ from beta")
     if not (0.0 < theta < 1.0):
         raise ValueError(f"theta must lie in (0,1), got {theta}")
-    A = ref.lam * (beta - 1.0)
     total = A / ((beta - 1.0) * (1.0 - theta) + (u2 - 1.0) * theta)
     atoms = (
         (math.log(beta) / k, total * (1.0 - theta)),
@@ -309,12 +312,11 @@ def smear_perturbation(
     ref: LogPoissonParams, k: int, width: float, n_atoms: int = 33
 ) -> LevyGenerator:
     """Replace the jump atom by a uniform smear of the given width, A matched."""
-    beta = math.exp(ref.b * k)
+    beta, A = _reference(ref, k)
     half = width / 2.0
     if not (0.0 < half < min(beta, 1.0 - beta)):
         raise ValueError(f"smear width {width} leaves the unit interval around beta")
     us = np.linspace(beta - half, beta + half, n_atoms)
-    A = ref.lam * (beta - 1.0)
     weights = np.full(n_atoms, A / (us - 1.0).sum())
     atoms = tuple((math.log(u) / k, w) for u, w in zip(us, weights))
     return LevyGenerator(drift=ref.a, atoms=atoms)
@@ -332,7 +334,7 @@ def split_width_for_epsilon(ref: LogPoissonParams, r: float, k: int, eps_target:
     """
     if not 0.0 < eps_target < math.inf:  # also rejects a nan target
         raise ValueError(f"epsilon target {eps_target} unreachable for this family")
-    beta = math.exp(ref.b * k)
+    beta, _ = _reference(ref, k)
     ln_target = math.log(eps_target)
 
     def excess(ln_s):

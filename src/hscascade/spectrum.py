@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cascade import write_csv
-from .exponents import ScalingLaw, spectrum_width, zeta
-from .generators import _check_integers
+from .exponents import ScalingLaw, _check_integers, spectrum_width, zeta
 
 __all__ = ["SpectrumCurve", "f_closed", "f_legendre", "spectrum_curve", "h_interval"]
 

@@ -20,8 +20,7 @@ from hscascade.cascade import (
     StructureTable,
     ZetaEstimate,
     _jackknife_cov,
-    _ln_mean_and_jackknife,
-    _ln_mean_from_group_sums,
+    _level_cells,
     _read_csv,
     default_p_list,
     estimate_deltas,
@@ -42,7 +41,6 @@ from hscascade.hausdorff import empirical_w1_multipliers, smear_perturbation
 from hscascade.spectrum import SpectrumCurve
 from hscascade.symmetry import classify
 from test_generators import SMALL_BLOCKS, block_laws, reference_sample_logW
-from test_generators import no_thread_left_behind  # noqa: F401 (autouse: applies here too)
 
 SL = ScalingLaw(gamma=1.0 / 9.0, big_c=2.0, beta=2.0 / 3.0, k=3)
 SL_LP = logpoisson_from_scaling(SL, 0.5)
@@ -134,6 +132,33 @@ def reference_ln_mean_and_jackknife(z):
     return ln_s, m + np.log(np.maximum(total - sums, 1e-300) / (ns - sizes))
 
 
+def reduceat_sums(ns):
+    """The sample path's group sums of _level_cells: the total and np.add.reduceat over the
+    jackknife groups of ns samples."""
+    starts = np.arange(cascade._GROUPS) * ns // cascade._GROUPS
+    return lambda e: (e.sum(), np.add.reduceat(e, starts))
+
+
+def histogram_sums(hist):
+    """The count path's group sums of _level_cells: hist @ e and its total."""
+    return lambda e: ((s := hist @ e).sum(), s)
+
+
+def sample_cell(z):
+    """_level_cells at the one order p = 1 over the samples z, in a scratch buffer."""
+    ln_s, reps = _level_cells((1.0,), z, len(z), reduceat_sums(len(z)), out=np.empty_like(z))
+    return ln_s[0], reps[0]
+
+
+def replicate_tolerance(ln_s, reps, ns):
+    """d = 1e-13 x (|ln S| + kappa) per row, kappa = max_g total / (total - S_g) the
+    cancellation in the rest of the sum that a dominant group leaves: how far rounding alone
+    moves a row's replicates when its group sums are taken another way."""
+    sizes = np.diff(np.arange(cascade._GROUPS + 1) * ns // cascade._GROUPS)
+    kappa = (np.exp(ln_s[:, None] - reps) * ns / (ns - sizes)).max(axis=1)
+    return 1e-13 * (np.abs(ln_s) + kappa)
+
+
 def reference_se(reps):
     """The delete-a-group jackknife error of one cell's replicates."""
     g = len(reps)
@@ -146,10 +171,9 @@ def reference_simulate(config, gen, sample=sample_logW):
     Returns ln_S and the replicates (one row per table row), in the table's p-major row order."""
     nl, ns = config.n_levels, config.n_samples
     branch = np.cumsum(sample(gen, nl * ns, config.seed).reshape(nl, ns), axis=0)
-    z = np.empty(ns)
     ln_s, reps = zip(*[
         (0.0, np.zeros(cascade._GROUPS)) if p == 0.0
-        else _ln_mean_and_jackknife(np.multiply(p, level, out=z))
+        else reference_ln_mean_and_jackknife(p * level)
         for p in config.p_list
         for level in branch
     ])
@@ -186,10 +210,8 @@ def assert_table_matches(table, reference, gen):
         return
     ln_s, reps = reference
     cov = _jackknife_cov(reps.T)
-    ns = table.metadata["n_samples"]
-    sizes = np.diff(np.arange(cascade._GROUPS + 1) * ns // cascade._GROUPS)
-    kappa = (np.exp(ln_s[:, None] - reps) * ns / (ns - sizes)).max(axis=1)
-    d, se = 1e-13 * (np.abs(ln_s) + kappa), np.sqrt(np.diagonal(cov))
+    d = replicate_tolerance(ln_s, reps, table.metadata["n_samples"])
+    se = np.sqrt(np.diagonal(cov))
     bound = 1e-12 * np.abs(cov).max() + 2 * math.sqrt(cascade._GROUPS) * (
         np.outer(d, se) + np.outer(se, d))
     assert (np.abs(table.ln_s - ln_s) <= 1e-13 * np.maximum(1.0, np.abs(ln_s))).all()
@@ -214,13 +236,14 @@ def cascade_generators(draw):
 
 
 class TestJackknife:
-    """The in-place delete-a-group cell returns the fresh-array reference's floats exactly."""
+    """The delete-a-group cell over samples, in its scratch buffer, returns the fresh-array
+    reference's floats exactly; over count histograms, the same values to rounding."""
 
     @settings(max_examples=200, deadline=None)
     @given(z=hnp.arrays(float, st.integers(cascade._GROUPS, 3000),
                         elements=st.floats(-700.0, 700.0)))
     def test_matches_reference(self, z):
-        ln_s, reps = _ln_mean_and_jackknife(z.copy())
+        ln_s, reps = sample_cell(z)
         want_ln_s, want_reps = reference_ln_mean_and_jackknife(z)
         assert ln_s == want_ln_s
         assert reps.tobytes() == want_reps.tobytes()
@@ -230,7 +253,7 @@ class TestJackknife:
         # to 0 and is clamped at 1e-300
         z = np.full(1000, -700.0)
         z[17] = 700.0
-        ln_s, reps = _ln_mean_and_jackknife(z.copy())
+        ln_s, reps = sample_cell(z)
         want_ln_s, want_reps = reference_ln_mean_and_jackknife(z)
         assert ln_s == want_ln_s and reps.tobytes() == want_reps.tobytes()
         assert reps[1] == 700.0 + np.log(1e-300 / 990)
@@ -243,10 +266,30 @@ class TestJackknife:
         # the 150 samples sum to 156
         z = np.zeros(150)
         z[1], z[2] = math.log(3.0), math.log(5.0)
-        _, reps = _ln_mean_and_jackknife(z)
+        _, reps = sample_cell(z)
         assert reps[0] == pytest.approx(math.log(155 / 149), rel=1e-12)
         assert reps[1] == pytest.approx(0.0, abs=1e-15)
         assert reps[2] == pytest.approx(math.log(155 / 149), rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(counts=hnp.arrays(np.int64, st.integers(100, 3000), elements=st.integers(0, 40)),
+           a=st.floats(-5.0, 5.0), x=st.floats(-1.0, 1.0),
+           p_list=st.sampled_from([(0.0, 1.0, 2.5), (0.0, 3.0, 7.5), default_p_list(3)]))
+    def test_histogram_sums_match_sample_sums(self, counts, a, x, p_list):
+        # z_j = a + x*j at each jump count j: the count path's cells from the histogram of
+        # (group, count) against the sample path's over the samples z[counts]
+        ns = len(counts)
+        z = a + x * np.arange(counts.max() + 1)
+        j, hist = cascade._count_histogram(counts)
+        ln_s, reps = _level_cells(p_list, z[j], ns, histogram_sums(hist))
+        want_ln_s, want_reps = _level_cells(p_list, z[counts], ns, reduceat_sums(ns),
+                                            out=np.empty(ns))
+        zero = np.array(p_list) == 0.0
+        for cells in (ln_s, reps, want_ln_s, want_reps):
+            assert (cells[zero] == 0.0).all()
+        assert (np.abs(ln_s - want_ln_s) <= 1e-13 * np.maximum(1.0, np.abs(want_ln_s))).all()
+        d = replicate_tolerance(want_ln_s, want_reps, ns)
+        assert (np.abs(reps - want_reps) <= d[:, None]).all()
 
 
 class TestPipeline:
@@ -313,9 +356,9 @@ class TestPipeline:
             calls.append(None)
             if len(calls) == 3:
                 raise RuntimeError("third cell")
-            return _ln_mean_from_group_sums(*args)
+            return _level_cells(*args)
 
-        monkeypatch.setattr(cascade, "_ln_mean_from_group_sums", third_call_fails)
+        monkeypatch.setattr(cascade, "_level_cells", third_call_fails)
         cfg = SimConfig(params=CascadeParams(r=0.5, k=3), n_levels=6, n_samples=40_000, seed=0)
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match="third cell"):

@@ -46,15 +46,6 @@ SL_LP = logpoisson_from_scaling(SL, 0.5)
 LOGNORMAL = LevyGenerator(drift=-0.1, sigma2=0.2)
 
 
-@pytest.fixture(autouse=True)
-def no_thread_left_behind():
-    """Fail a test that ends with more threads running than it started with: the counts'
-    helper thread and simulate's worker are joined before the call that started them ends."""
-    threads = threading.active_count()
-    yield
-    assert threading.active_count() <= threads, threading.enumerate()
-
-
 def random_law(rng):
     return ScalingLaw(
         gamma=rng.uniform(-1, 1),
