@@ -18,7 +18,7 @@ import json
 import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 
@@ -171,10 +171,9 @@ class StructureTable:
 class ZetaEstimate:
     """Estimated scaling exponents (p, zeta_hat, se) at distinct orders p >= 0.
 
-    `cov`, when given, is the covariance of zeta_hat over the orders
-    (sqrt of its diagonal is se).  A CSV carries it under "cov" in its
-    JSON comment line; without it, estimate_deltas treats the orders as
-    independent.
+    cov is the covariance of zeta_hat over the orders (se is sqrt(diag(cov))), and a CSV
+    carries it under "cov" in its JSON comment line.  An estimate without cov is refused:
+    one built by hand with independent orders passes cov=np.diag(se**2).
     """
 
     p: np.ndarray
@@ -185,6 +184,9 @@ class ZetaEstimate:
 
     def __post_init__(self):
         _check_table(self)
+        if self.cov is None:
+            raise ValueError("cov: a zeta estimate needs the covariance of zeta_hat over its "
+                             "orders")
 
     def value(self, p: float) -> tuple:
         idx = np.nonzero(self.p == p)[0]
@@ -360,14 +362,11 @@ def _cells_over_samples(config: SimConfig, g) -> list:
         return e.sum(), np.add.reduceat(e, starts)
 
     futures = []
-    # closing() ends the rows, and so joins the count draws' helper thread, before the
-    # worker is shut down, on return and on error alike
-    with ThreadPoolExecutor(max_workers=1) as worker, \
-            closing(_sample_rows(g, nl, ns, config.seed)) as rows:
+    with ThreadPoolExecutor(max_workers=1) as worker:
         # branch: log Phi(r^n) per sample, the running sum of the levels' draws, built in
         # place in the fresh row each level draws, which no other code holds
         branch = None
-        for row in rows:
+        for row in _sample_rows(g, nl, ns, config.seed):
             if branch is not None:
                 with np.errstate(over="ignore"):  # simulate reports a non-finite level
                     row += branch
@@ -389,22 +388,22 @@ def simulate(config: SimConfig, gen) -> StructureTable:
     A law with at most one atom x, no tail and no Gaussian part, at a jump
     rate below _COUNTS_RATE (the log-Poisson laws of the paper among them),
     has log Phi(r^n) = n*drift + x*N, N the sample's cumulative jump count.
-    Such a law draws only the counts, from sample_logW's stream, with a
-    helper thread that decodes half of each large draw
-    (generators._count_stream).  It keeps N in one int64 array and takes
-    each level's cells from the histogram of (group, N), J ~ n*rate values
-    wide: each order's group sums are hist @ exp(p*z_j - m) over the J
-    values z_j of log Phi.  So ln S and its covariance differ from sums
-    over the samples in their last digits only, and memory is the count
-    array plus one block of counts, for any n_levels.
+    Such a law draws only the counts, from sample_logW's stream
+    (generators._count_stream), and starts no thread.  It keeps N in one
+    int64 array and takes each level's cells from the histogram of
+    (group, N), J ~ n*rate values wide: each order's group sums are
+    hist @ exp(p*z_j - m) over the J values z_j of log Phi.  So ln S and
+    its covariance differ from sums over the samples in their last digits
+    only, and memory is the count array plus one block of counts, for any
+    n_levels.
 
     Every other law sums over its samples of log Phi, drawn row by row
     while one worker thread runs the previous level's cells
     (_cells_over_samples); memory is O(n_samples) for the levels plus one
     block of counts, jumps and normals (generators._sample_rows), for
     every generator and any n_levels.  Both paths run one cell routine,
-    _level_cells, each with its own group sums.  Either way no thread
-    outlives the call, on return or on error, and the results do not
+    _level_cells, each with its own group sums.  The worker does not
+    outlive the call, on return or on error, and the results do not
     depend on timing.  A table whose ln S_p or covariance overflows raises
     OverflowError.
     """
@@ -412,11 +411,11 @@ def simulate(config: SimConfig, gen) -> StructureTable:
     g = as_levy(gen)
     if _counts_suffice(g):
         x, rate = g.atoms[0] if g.atoms else (0.0, 0.0)
-        with closing(_cumulative_counts(rate, nl, ns, config.seed)) as rows:
-            # each histogram is taken before the next level adds its counts to the row
-            levels = [_level_cells(config.p_list, n * g.drift + x * j, ns,
-                                   lambda e: ((s := hist @ e).sum(), s))
-                      for n, (j, hist) in enumerate(map(_count_histogram, rows), 1)]
+        rows = _cumulative_counts(rate, nl, ns, config.seed)
+        # each histogram is taken before the next level adds its counts to the row
+        levels = [_level_cells(config.p_list, n * g.drift + x * j, ns,
+                               lambda e: ((s := hist @ e).sum(), s))
+                  for n, (j, hist) in enumerate(map(_count_histogram, rows), 1)]
     else:
         levels = _cells_over_samples(config, g)
     # per level, orders first -> orders x levels (x groups), p-major rows
@@ -439,14 +438,50 @@ def simulate(config: SimConfig, gen) -> StructureTable:
     )
 
 
+def _slope_weights(n: np.ndarray, x: np.ndarray, se: np.ndarray) -> np.ndarray:
+    """w with w @ ln_S the level GLS slope of one order's rows on x = n*ln r, free intercept.
+
+    The covariance model is f[min(n, m)] with f_n = rho**n - 1: for a branch product
+    Cov(ln S_p(n), ln S_p(m)) ~ (rho_p**min(n, m) - 1)/N, rho_p = E[W^2p]/E[W^p]**2
+    (Ossiander & Waymire, Ann. Statist. 28, 2000), so the levels have independent
+    increments.  rho = e**b, b the OLS slope of ln se**2 on n.  The intercept absorbs the
+    first level, and the slope is the weighted fit through 0 of the increments of ln S on
+    those of x, the increment from level n to m weighted by 1/(f_m - f_n), taken in logs up
+    to a common factor so that no order overflows.  The OLS weights are kept when fewer
+    than two rows have se > 0, when rho <= 1, or when a weight is not finite.
+    """
+    xc = x - x.mean()
+    ols = xc / float((xc ** 2).sum())
+    pos = se > 0
+    if pos.sum() < 2:
+        return ols
+    nc = n[pos] - n[pos].mean()
+    ln_var = 2.0 * np.log(se[pos])
+    b = float(nc @ (ln_var - ln_var[0])) / float(nc @ nc)  # exactly 0 when se is constant
+    if not b > 0.0:  # rho <= 1
+        return ols
+    order = np.argsort(n)
+    gap = np.diff(n[order])
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite weight falls back below
+        # ln(f_m - f_n) = b*m + ln(1 - rho**-(m - n)) for consecutive levels n < m
+        ln_step = b * n[order][1:] + np.log(-np.expm1(-b * gap))
+        dx = np.diff(x[order])
+        c = dx * np.exp(ln_step.min() - ln_step)
+        c /= c @ dx
+    w = np.empty(len(n))
+    w[order] = np.concatenate(([0.0], c)) - np.concatenate((c, [0.0]))
+    return w if np.isfinite(w).all() else ols
+
+
 def estimate_zeta(table: StructureTable) -> ZetaEstimate:
-    """OLS slope of ln S_p against n*ln r, per moment order.
+    """Level GLS slope of ln S_p against n*ln r, per moment order (see _slope_weights).
 
     zeta_hat at p = 0 is forced to zero.  Orders with fewer than 3 valid
-    levels are omitted with a warning in the metadata.  The OLS
-    coefficients make W, an orders x rows matrix with a zero row at p = 0
-    and zero columns at non-finite ln_S, and zeta_hat's covariance is
-    W cov W^T over the table's cov (se = sqrt of its diagonal); it raises
+    levels are omitted with a warning in the metadata.  The slopes' weights
+    make W, an orders x rows matrix with a zero row at p = 0 and zero
+    columns at non-finite ln_S, and zeta_hat's covariance is W cov W^T over
+    the table's cov (se = sqrt of its diagonal): a sandwich, so the errors
+    stay those of the data if the weights' model is off.  It raises
     OverflowError if that covariance is not finite.
     """
     r = table.metadata.get("r")
@@ -463,9 +498,8 @@ def estimate_zeta(table: StructureTable) -> ZetaEstimate:
             continue
         w = np.zeros(len(table.p))  # a zero row at p = 0
         if p != 0.0:
-            x = table.n[rows].astype(float) * ln_r
-            xm = x.mean()
-            w[rows] = (x - xm) / float(((x - xm) ** 2).sum())
+            n = table.n[rows].astype(float)
+            w[rows] = _slope_weights(n, n * ln_r, table.se[rows])
         ps.append(p)
         zs.append(float(w[rows] @ table.ln_s[rows]) if p != 0.0 else 0.0)
         weights.append(w)
@@ -487,9 +521,7 @@ def estimate_deltas(zeta: ZetaEstimate, k: int) -> DeltaSeries:
     """Incremental exponents delta_{mk} = zeta_{(m+1)k} - zeta_{mk} with errors.
 
     With the estimate's covariance V the errors are sqrt(diag(D V D^T)),
-    D the first difference over the orders 0, k, 2k, ...; without it
-    (an estimate read from a CSV with no "cov") the two orders' errors
-    are added in quadrature, as if they were independent.
+    D the first difference over the orders 0, k, 2k, ...
     """
     if k < 1:
         raise ValueError(f"hierarchy step k must be >= 1, got {k}")
@@ -500,13 +532,9 @@ def estimate_deltas(zeta: ZetaEstimate, k: int) -> DeltaSeries:
     if len(rows) < 3:
         missing = [float(m * k) for m in range(3) if m * k not in row]
         raise ValueError(f"zeta estimate is missing orders {missing}")
-    if zeta.cov is None:
-        e = zeta.se[rows].tolist()
-        stderr = [math.hypot(e0, e1) for e0, e1 in zip(e, e[1:])]
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):  # DeltaSeries rejects inf and nan
-            dvd = np.diff(np.diff(zeta.cov[np.ix_(rows, rows)], axis=0), axis=1)
-            # rounding can leave a variance a few ulps below zero
-            stderr = np.sqrt(np.maximum(np.diagonal(dvd), 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):  # DeltaSeries rejects inf and nan
+        dvd = np.diff(np.diff(zeta.cov[np.ix_(rows, rows)], axis=0), axis=1)
+        # rounding can leave a variance a few ulps below zero
+        stderr = np.sqrt(np.maximum(np.diagonal(dvd), 0.0))
     return DeltaSeries(k=k, m=range(len(rows) - 1), delta=np.diff(zeta.zeta_hat[rows]),
                        stderr=stderr)

@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing, contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -229,14 +227,12 @@ def sample_logW(gen, count: int, seed: int) -> np.ndarray:
     reads only its own stream, so the counts depend only on the seed and
     the total jump rate: two generators with equal total rate sampled
     with the same seed share their jump counts (useful for
-    common-random-number comparisons).  Below a total rate of 2, which
-    holds the canonical law's 2 ln 2, the counts are Generator.poisson's;
-    a draw of at least _SPLIT_MIN of them is decoded by this thread and one
-    helper thread, with the same counts and the same stream state as one
-    call (see _split_poisson), and the helper is joined before this returns.
-    From 2 up each count is one uniform u inverted on a table of
-    P(N <= k) (scipy.special.pdtr) over the window k = rate -/+
-    (12 sqrt(rate) + 40), clipped at 0, with the last entry set to 1.0.
+    common-random-number comparisons).  Each count is one uniform u
+    inverted on a table of P(N <= k) over the window k = rate -/+
+    (12 sqrt(rate) + 40), clipped at 0, with the last entry set to 1.0:
+    scipy.special.pdtr's from a total rate of 2 up, and below it, which
+    holds the canonical law's 2 ln 2, exact sums of the pmf recurrence,
+    which load no SciPy (_count_table).  A zero rate draws no uniforms.
     u is a multiple of 2**-53, so the table resolves each count's
     probability to 2**-53, and the mass outside the window, far below
     2**-53, falls to its end counts.  A rate whose window reaches past
@@ -255,8 +251,7 @@ def sample_logW(gen, count: int, seed: int) -> np.ndarray:
     _check_integers(count=count, seed=seed)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    with closing(_sample_rows(gen, 1, count, seed)) as rows:  # joins the helper thread now
-        return next(rows)
+    return next(_sample_rows(gen, 1, count, seed))
 
 
 def _bucketed_pick(edges: np.ndarray):
@@ -295,135 +290,57 @@ def _bucketed_pick(edges: np.ndarray):
 # path: every temporary of a draw is a few times 8 B x _BLOCK, whatever the row's length
 _BLOCK = 1 << 18
 
-# total jump rates from here up draw their counts from a pdtr table; below it
-# Generator.poisson keeps the stream of the canonical law (rate 2 ln 2), on which the
-# seeded acceptance gates were recorded
-_TABLE_RATE = 2.0
-
 # the largest count the window of a rate may reach: a higher rate is refused before
 # anything is drawn
 _MAX_COUNT = 1 << 24
 
-# a Generator.poisson draw of fewer counts than this stays on one thread: below it the
-# helper's start, the skipped counts and the state reads cost more than the half saves
-# (2 vCPU, canonical rate: 2.1 -> 1.5 ms at 2**15 counts, 1.0 -> 1.1 ms at 2**14)
-_SPLIT_MIN = 1 << 15
 
-# the helper starts this many standard deviations of the first half's consumption before
-# its expected end; the first half ends before the helper's start with probability ~1e-15
-_SPLIT_MARGIN = 8.0
+def _count_table(rate: float) -> tuple:
+    """(k_lo, cdf): P(N <= k) for N ~ Poisson(rate) over the window k = k_lo, k_lo + 1, ...
 
-
-def _position(bits) -> int:
-    """How many 64-bit outputs a Philox bit generator has given since its key was set.
-
-    Philox hands out the four outputs of counter c + 1 after those of c, starting from
-    counter 0 with an empty buffer, so a state at counter c with buffer_pos b has given
-    4c - 4 + b (advance(d) leaves counter c + d and an empty buffer, b = 4)."""
-    state = bits.state
-    counter = sum(int(word) << (64 * i) for i, word in enumerate(state["state"]["counter"]))
-    return 4 * counter - 4 + state["buffer_pos"]
-
-
-def _joined_at(main_end: int, helper_start: int, helper_end: int, tail) -> int | None:
-    """Where the helper's counts join the stream: the index of its first count that starts at
-    main_end, or None when none does or when the helper did not consume n + sum(N) outputs.
-
-    tail holds the helper's counts, decoded from output helper_start on and leaving its bit
-    generator at helper_end.  Count N takes N + 1 outputs, so the helper's count i + 1
-    starts at helper_start plus the sum of N + 1 over its counts 0..i; each count takes at
-    least one output, so a join lies within the first main_end - helper_start of them."""
-    gap = main_end - helper_start
-    if gap < 0 or helper_end != helper_start + len(tail) + int(tail.sum()):
-        return None
-    if gap == 0:
-        return 0
-    hit = np.flatnonzero(np.cumsum(tail[:gap] + 1) == gap)
-    return int(hit[0]) + 1 if len(hit) else None
-
-
-def _split_poisson(counts, seed: int, rate: float, n: int, helper) -> np.ndarray:
-    """counts.poisson(rate, n), its first half drawn here and the rest on the helper thread.
-
-    Below rate 10, so at every rate below _TABLE_RATE, NumPy draws a count by the
-    multiplication method (Knuth, TAOCP 2, 3.4.1): uniforms are multiplied until the
-    product is at most e**-rate, so count N takes N + 1 outputs, and a uniform at most
-    e**-rate ends a count whatever came before it.  A decoder started at the wrong output therefore falls into step with the
-    stream at the first count boundary the two share, and agrees with it from there on.
-    Philox is counter based (Salmon et al., SC'11), so the helper starts its own
-    Philox(key=seed) _SPLIT_MARGIN standard deviations of the first half's consumption
-    before that half's expected end, and decodes the rest of the block.  Its counts from
-    the first one that starts where the first half ended are the stream's.  The helper's
-    first counts, before that one, are dropped; counts, set to the helper's state,
-    draws as many again at the end.  When the halves do not join, or either consumed
-    other than n + sum(N) outputs, the rest is drawn here.  Either way the result, and
-    the state counts is left in, are those of one counts.poisson(rate, n) call.
+    The window is rate -/+ (12 sqrt(rate) + 40), clipped at 0, and the last entry is 1.0.
+    From rate 2 up the table is scipy.special.pdtr's.  Below it, cdf_k = fsum(p_0..p_k)
+    with p_0 = e**-rate and p_(i+1) = p_i * rate/(i + 1), which loads no SciPy (measured
+    within 3 ulps of the exact CDF, where pdtr is up to 13 ulps off).  A rate whose window
+    reaches past _MAX_COUNT raises ValueError.
     """
-    bits = counts.bit_generator
-    first = n // 2
-    start = _position(bits)
-    # the first half takes first + sum(N) outputs: mean first * (1 + rate), sd sqrt(first * rate)
-    helper_start = max(0, int(start + first * (1.0 + rate)
-                              - _SPLIT_MARGIN * math.sqrt(first * rate))) // 4 * 4
-
-    def rest():
-        hbits = np.random.Philox(key=seed)
-        hbits.advance(helper_start // 4)  # to output helper_start: a multiple of 4
-        return hbits, np.random.Generator(hbits).poisson(rate, n - first)
-
-    job = helper.submit(rest)
-    out = np.empty(n, dtype=np.int64)
-    out[:first] = counts.poisson(rate, first)
-    main_end = start + first + int(out[:first].sum())
-    hbits, tail = job.result()
-    skip = (_joined_at(main_end, helper_start, _position(hbits), tail)
-            if _position(bits) == main_end else None)
-    if skip is None:
-        out[first:] = counts.poisson(rate, n - first)
-        return out
-    out[first:n - skip] = tail[skip:]
-    bits.state = hbits.state  # where the stream is after the helper's last count
-    out[n - skip:] = counts.poisson(rate, skip)
-    return out
-
-
-@contextmanager
-def _count_stream(rate: float, seed: int):
-    """draw(n): the next n jump counts at this total rate from the key's own stream.
-
-    The counts are those sample_logW describes: Generator.poisson's below _TABLE_RATE,
-    one uniform each on a pdtr table from there up.  Below _TABLE_RATE a draw of at
-    least _SPLIT_MIN counts is shared with one helper thread (_split_poisson), which
-    the exit joins, on return and on error alike.  A rate whose counts window reaches
-    past _MAX_COUNT raises ValueError before anything is drawn or started.
-    """
-    spread = 12.0 * math.sqrt(rate) + 40.0  # the counts window is rate -/+ spread
+    spread = 12.0 * math.sqrt(rate) + 40.0
     if not rate + spread <= _MAX_COUNT:  # as floats, so an infinite rate is refused too
         raise ValueError(f"total jump rate {rate:g} is too large: its Poisson counts reach past "
                          f"the cap of {_MAX_COUNT} jumps per sample")
+    k_lo, k_hi = max(0, math.floor(rate - spread)), math.ceil(rate + spread)
+    if rate < 2.0:  # k_lo = 0
+        pmf = [math.exp(-rate)]
+        for i in range(1, k_hi + 1):
+            pmf.append(pmf[-1] * rate / i)
+        cdf = np.array([math.fsum(pmf[:k + 1]) for k in range(k_hi + 1)])
+    else:
+        from scipy.special import pdtr  # here, so that a draw below rate 2 loads no SciPy
+
+        cdf = pdtr(np.arange(k_lo, k_hi + 1), rate)
+    cdf[-1] = 1.0
+    return k_lo, cdf
+
+
+def _count_stream(rate: float, seed: int):
+    """draw(n): the next n jump counts at this total rate from the key's own stream.
+
+    Each count is one uniform of Philox(key=seed), inverted on _count_table(rate) by
+    _bucketed_pick; a zero rate draws no uniforms.  A rate past the cap raises ValueError
+    before anything is drawn.
+    """
+    if rate == 0.0:
+        return lambda n: np.zeros(n, dtype=np.int64)
+    k_lo, cdf = _count_table(rate)
+    pick_count = _bucketed_pick(cdf)
     counts = np.random.Generator(np.random.Philox(key=int(seed)))
-    if rate >= _TABLE_RATE:
-        from scipy.special import pdtr  # here, so that a draw below the table rate loads no SciPy
 
-        k_lo = max(0, math.floor(rate - spread))
-        cdf = pdtr(np.arange(k_lo, math.ceil(rate + spread) + 1), rate)
-        cdf[-1] = 1.0
-        pick_count = _bucketed_pick(cdf)
+    def draw(n):
+        nj = pick_count(counts.random(n))
+        nj += k_lo
+        return nj
 
-        def draw(n):
-            nj = pick_count(counts.random(n))
-            nj += k_lo
-            return nj
-
-        yield draw
-        return
-    with ThreadPoolExecutor(max_workers=1) as helper:  # starts its thread at the first split
-        def draw(n):
-            if n < _SPLIT_MIN or rate == 0.0:
-                return counts.poisson(rate, size=n)
-            return _split_poisson(counts, int(seed), rate, n, helper)
-
-        yield draw
+    return draw
 
 
 def _cumulative_counts(rate: float, rows: int, cols: int, seed: int):
@@ -434,12 +351,12 @@ def _cumulative_counts(rate: float, rows: int, cols: int, seed: int):
     caller reads it before it asks for the next row.
     """
     total = np.zeros(cols, dtype=np.int64)
-    with _count_stream(rate, seed) as draw_counts:
-        for _ in range(rows):
-            for s in range(0, cols, _BLOCK):
-                part = total[s:s + _BLOCK]
-                part += draw_counts(len(part))
-            yield total
+    draw_counts = _count_stream(rate, seed)
+    for _ in range(rows):
+        for s in range(0, cols, _BLOCK):
+            part = total[s:s + _BLOCK]
+            part += draw_counts(len(part))
+        yield total
 
 
 def _sample_rows(gen, rows: int, cols: int, seed: int):
@@ -454,71 +371,70 @@ def _sample_rows(gen, rows: int, cols: int, seed: int):
     makes a block of max(1, int(_BLOCK / max(rate, 1))) samples, which
     holds Poisson(width * rate) jumps: about _BLOCK on average, or one
     sample's from a rate of _BLOCK up.  Memory is the row being filled
-    plus O(one block).  The counts' helper thread (_count_stream) lives
-    until the generator is exhausted or closed.
+    plus O(one block).
     """
     g = as_levy(gen)
     rates = [w for _, w in g.atoms] + ([g.tail.mass] if g.tail is not None else [])
     with np.errstate(over="ignore"):  # an infinite total rate is refused by _count_stream
         cum = np.cumsum(rates)
     rate = float(cum[-1]) if rates else 0.0  # the total jump rate
-    with _count_stream(rate, seed) as draw_counts:  # refuses a rate past the cap first
-        base = np.random.Philox(key=int(seed))
-        jump_rng, tail_rng, normals = (np.random.Generator(base.jumped(j)) for j in (1, 2, 3))
-        table = [x for x, _ in g.atoms]
-        tail = g.tail
-        if tail is not None:
-            table.append(math.nan)  # atoms are finite, so NaN marks only the tail slot
-        one_atom = len(table) <= 1 and tail is None  # at most one atom, and no tail
-        tail_only = tail is not None and not g.atoms
-        if tail is not None:
-            lo, hi, a = tail.x_min ** -tail.alpha, tail.x_max ** -tail.alpha, tail.alpha
+    draw_counts = _count_stream(rate, seed)  # refuses a rate past the cap first
+    base = np.random.Philox(key=int(seed))
+    jump_rng, tail_rng, normals = (np.random.Generator(base.jumped(j)) for j in (1, 2, 3))
+    table = [x for x, _ in g.atoms]
+    tail = g.tail
+    if tail is not None:
+        table.append(math.nan)  # atoms are finite, so NaN marks only the tail slot
+    one_atom = len(table) <= 1 and tail is None  # at most one atom, and no tail
+    tail_only = tail is not None and not g.atoms
+    if tail is not None:
+        lo, hi, a = tail.x_min ** -tail.alpha, tail.x_max ** -tail.alpha, tail.alpha
 
-            def tail_sizes(n):
-                # inverse-CDF draw from c*y**(-1-alpha) on [x_min, x_max], y = |x|:
-                # -((lo - v*(lo - hi)) ** (-1/a)), one step at a time in v
-                v = tail_rng.random(n)
-                v *= lo - hi
-                np.subtract(lo, v, out=v)
-                v **= -1.0 / a
-                return np.negative(v, out=v)
-        if one_atom:
-            width = _BLOCK  # a block holds no jumps
-            x = table[0] if table else 0.0
-        else:
-            # a block of `width` samples holds Poisson(width * rate) jumps: at most _BLOCK on
-            # average, or one sample's jumps from rate _BLOCK up
-            width = max(1, int(_BLOCK / max(rate, 1.0)))
-            # dividing by the table's own last entry makes the last edge exactly 1.0
-            pick = _bucketed_pick(cum / rate)
-            owner = np.arange(min(cols, width))
-        for _ in range(rows):
-            out = np.empty(cols)
-            for s in range(0, cols, width):
-                block = out[s:s + width]
-                nj = draw_counts(len(block))
-                if one_atom:
-                    np.multiply(nj, x, out=block)
+        def tail_sizes(n):
+            # inverse-CDF draw from c*y**(-1-alpha) on [x_min, x_max], y = |x|:
+            # -((lo - v*(lo - hi)) ** (-1/a)), one step at a time in v
+            v = tail_rng.random(n)
+            v *= lo - hi
+            np.subtract(lo, v, out=v)
+            v **= -1.0 / a
+            return np.negative(v, out=v)
+    if one_atom:
+        width = _BLOCK  # a block holds no jumps
+        x = table[0] if table else 0.0
+    else:
+        # a block of `width` samples holds Poisson(width * rate) jumps: at most _BLOCK on
+        # average, or one sample's jumps from rate _BLOCK up
+        width = max(1, int(_BLOCK / max(rate, 1.0)))
+        # dividing by the table's own last entry makes the last edge exactly 1.0
+        pick = _bucketed_pick(cum / rate)
+        owner = np.arange(min(cols, width))
+    for _ in range(rows):
+        out = np.empty(cols)
+        for s in range(0, cols, width):
+            block = out[s:s + width]
+            nj = draw_counts(len(block))
+            if one_atom:
+                np.multiply(nj, x, out=block)
+            else:
+                jumps = int(nj.sum())
+                if tail_only:
+                    sizes = tail_sizes(jumps)
                 else:
-                    jumps = int(nj.sum())
-                    if tail_only:
-                        sizes = tail_sizes(jumps)
-                    else:
-                        sizes = np.take(table, pick(jump_rng.random(jumps)))
-                        if tail is not None:
-                            sel = np.isnan(sizes)
-                            sizes[sel] = tail_sizes(int(sel.sum()))
-                            del sel  # before repeat() allocates
-                    # each sample's jumps are contiguous and in order, so it sums them as one
-                    # call would; with no jump in the block bincount returns int64 zeros
-                    block[:] = np.bincount(np.repeat(owner[:len(block)], nj), weights=sizes,
-                                           minlength=len(block))
-                # 0 * x may be -0.0, and LevyGenerator stores no -0.0 drift, so adding the
-                # drift last gives the bytes of drift + normal + jumps
-                block += (normals.normal(g.drift, math.sqrt(g.sigma2), len(block))
-                          if g.sigma2 > 0 else g.drift)
-                nj = sizes = None  # free this block's counts and jumps before the next is drawn
-            yield out
+                    sizes = np.take(table, pick(jump_rng.random(jumps)))
+                    if tail is not None:
+                        sel = np.isnan(sizes)
+                        sizes[sel] = tail_sizes(int(sel.sum()))
+                        del sel  # before repeat() allocates
+                # each sample's jumps are contiguous and in order, so it sums them as one
+                # call would; with no jump in the block bincount returns int64 zeros
+                block[:] = np.bincount(np.repeat(owner[:len(block)], nj), weights=sizes,
+                                       minlength=len(block))
+            # 0 * x may be -0.0, and LevyGenerator stores no -0.0 drift, so adding the
+            # drift last gives the bytes of drift + normal + jumps
+            block += (normals.normal(g.drift, math.sqrt(g.sigma2), len(block))
+                      if g.sigma2 > 0 else g.drift)
+            nj = sizes = None  # free this block's counts and jumps before the next is drawn
+        yield out
 
 
 def normalize_mean_one(gen):

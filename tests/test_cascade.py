@@ -327,9 +327,9 @@ class TestPipeline:
         SL_LP, LevyGenerator(drift=SL_LP.a, sigma2=0.2, atoms=((SL_LP.b, SL_LP.lam),)),
     ], ids=["count path", "sample path"])
     def test_matches_reference_under_fast_thread_switching(self, gen):
-        # the worker reads the levels and the helper thread draws half of each block's
-        # counts; a switch every microsecond would expose any write to an array another
-        # thread still reads, and any draw that depends on timing
+        # the worker reads the levels this thread draws; a switch every microsecond would
+        # expose any write to an array another thread still reads, and any draw that depends
+        # on timing
         cfg = SimConfig(params=CascadeParams(r=0.5, k=3), n_levels=6, n_samples=40_000, seed=0)
         reference = reference_simulate(cfg, gen)
         first = simulate(cfg, gen)
@@ -348,8 +348,7 @@ class TestPipeline:
         SL_LP, LevyGenerator(drift=SL_LP.a, sigma2=0.2, atoms=((SL_LP.b, SL_LP.lam),)),
     ], ids=["count path", "sample path"])
     def test_cell_error_is_raised_and_the_threads_end(self, monkeypatch, gen):
-        # the count path runs its cells on this thread, the sample path on the worker; at
-        # 40k samples the counts' helper thread runs too when the third cell fails
+        # the count path runs its cells on this thread, the sample path on the worker
         calls = []
 
         def third_call_fails(*args):
@@ -580,16 +579,28 @@ class TestEstimateZeta:
 
 
     def test_group_covariance_from_replicates(self):
-        # W cov W^T is the delete-a-group covariance of the zeta_hat replicates, each the OLS
-        # slope of one replicate of ln_S over the levels, to rounding
+        # zeta_hat is the GLS slope under the covariance f[min(n, m)], f_n = rho**n - 1 with
+        # rho = e**b, b the OLS slope of ln se**2 on n; W cov W^T is the delete-a-group
+        # covariance of the zeta_hat replicates, each that slope of one replicate of ln_S
         cfg = SimConfig(params=CascadeParams(r=0.5, k=3), n_levels=5, n_samples=2000, seed=8,
                         p_list=(0.0, 1.0, 3.0, 6.0))
         table = simulate(cfg, SL_LP)
         z = estimate_zeta(table)
         _, reps = reference_simulate(cfg, SL_LP)
-        x = np.arange(1, 6) * LN_HALF
-        coef = (x - x.mean()) / ((x - x.mean()) ** 2).sum()
-        zreps = np.array([coef @ reps[table.p == p] for p in z.p])
+        n = np.arange(1, 6)
+        design = np.column_stack([np.ones(5), n * LN_HALF])
+        coefs = [np.zeros(5)]  # p = 0
+        for p in z.p[1:]:
+            rho = math.exp(np.polyfit(n, np.log(table.se[table.p == p] ** 2), 1)[0])
+            assert rho > 1.0
+            f = rho ** n - 1.0
+            inv = np.linalg.inv(f[np.minimum.outer(n, n) - 1])
+            coefs.append(np.linalg.solve(design.T @ inv @ design, design.T @ inv)[1])
+            ln_s = table.ln_s[table.p == p]
+            assert z.value(p)[0] == pytest.approx(coefs[-1] @ ln_s, rel=1e-12)
+            ols = np.polyfit(n * LN_HALF, ln_s, 1)[0]
+            assert abs(z.value(p)[0] - ols) > 1e-9  # the weights are not OLS's
+        zreps = np.array([coef @ reps[table.p == p] for coef, p in zip(coefs, z.p)])
         dev = zreps - zreps.mean(axis=1, keepdims=True)
         want = (len(dev.T) - 1) / len(dev.T) * dev @ dev.T
         np.testing.assert_allclose(z.cov, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
@@ -597,8 +608,8 @@ class TestEstimateZeta:
         assert z.cov[0].tolist() == [0.0] * 4 and z.se[0] == 0.0
 
     def test_independent_rows(self):
-        # with cov = diag(se**2), zeta_hat's variance is sum coef**2 se**2 and the orders are
-        # uncorrelated
+        # a constant se gives rho = 1, so the OLS weights: with cov = diag(se**2), zeta_hat's
+        # variance is sum coef**2 se**2 and the orders are uncorrelated
         table = exact_table(SL, 0.5, 4, (0.0, 3.0, 6.0), se=0.01)
         z = estimate_zeta(table)
         x = np.arange(1, 5) * LN_HALF
@@ -665,18 +676,19 @@ class TestEstimateDeltas:
     ])
     def test_missing_orders_named(self, orders, missing):
         z = ZetaEstimate(p=np.array(orders), zeta_hat=np.zeros(len(orders)),
-                         se=np.zeros(len(orders)))
+                         se=np.zeros(len(orders)), cov=np.zeros((len(orders), len(orders))))
         with pytest.raises(ValueError, match="missing orders " + missing):
             estimate_deltas(z, 3)
 
     def test_run_of_orders_stops_at_first_gap(self):
         # 12 sits past the gap at 9, and the unsorted rows are found by order
+        se = np.array([0.4, 0.0, 0.5, 0.3])
         z = ZetaEstimate(p=np.array([6.0, 0.0, 12.0, 3.0]), zeta_hat=np.array([3.0, 0.0, 9.0, 1.0]),
-                         se=np.array([0.4, 0.0, 0.5, 0.3]))
+                         se=se, cov=np.diag(se**2))
         series = estimate_deltas(z, 3)
         assert series.m == (0, 1)
         assert series.delta == (1.0, 2.0)
-        assert series.stderr == (0.3, math.hypot(0.3, 0.4))
+        assert series.stderr == pytest.approx((0.3, 0.5), rel=1e-15)
 
     def test_errors_from_the_covariance(self):
         # se of delta_m = zeta_{m+1} - zeta_m is sqrt(V_mm + V_(m+1)(m+1) - 2 V_m(m+1))
@@ -688,8 +700,15 @@ class TestEstimateDeltas:
                          se=np.sqrt(np.diagonal(cov)), cov=cov)
         series = estimate_deltas(z, 3)
         assert series.stderr == pytest.approx((0.2, math.sqrt(0.03), math.sqrt(0.05)), rel=1e-12)
-        independent = estimate_deltas(replace(z, cov=None), 3)
+        independent = estimate_deltas(replace(z, cov=np.diag(np.diagonal(cov))), 3)
         assert independent.stderr == pytest.approx((0.2, math.sqrt(0.13), 0.5), rel=1e-12)
+
+    def test_estimate_without_covariance_refused(self):
+        with pytest.raises(ValueError, match="a zeta estimate needs the covariance of zeta_hat"):
+            ZetaEstimate(p=np.array([0.0, 3.0]), zeta_hat=np.array([0.0, 1.0]),
+                         se=np.array([0.0, 0.01]))
+        with pytest.raises(ValueError, match="a zeta estimate needs the covariance of zeta_hat"):
+            ZetaEstimate.from_csv(io.StringIO("# {}\np,zeta_hat,se\n0,0,0\n3,1.0,0.01\n"))
 
     def test_covariance_rows_follow_the_orders(self):
         # unsorted rows and an order past the run: D V D^T is taken over rows 0, k, 2k
@@ -873,7 +892,9 @@ class TestCsvRoundTrip:
                            se=np.array([0.0]), metadata={"cov": [[0.0]]}, cov=[[0.0]])
 
     def test_external_csv_ingestion(self):
-        text = "# {}\np,zeta_hat,se\n0,0,0\n3,1.0,0.01\n6,1.77,0.02\n9,2.4,0.05\n"
+        cov = np.diag([0.0, 0.01, 0.02, 0.05]) ** 2  # independent orders
+        text = (f"# {json.dumps({'cov': cov.tolist()})}\np,zeta_hat,se\n0,0,0\n3,1.0,0.01\n"
+                f"6,1.77,0.02\n9,2.4,0.05\n")
         z = ZetaEstimate.from_csv(io.StringIO(text))
         series = estimate_deltas(z, 3)
         assert series.delta == pytest.approx((1.0, 0.77, 0.63), abs=1e-12)
@@ -881,7 +902,7 @@ class TestCsvRoundTrip:
     def test_reads_any_object_with_read(self):
         class Source:  # a text source that is not an io.TextIOBase
             def read(self):
-                return "# {}\np,zeta_hat,se\n0,0,0\n3,1.0,0.01\n"
+                return '# {"cov": [[0, 0], [0, 1e-4]]}\np,zeta_hat,se\n0,0,0\n3,1.0,0.01\n'
 
         z = ZetaEstimate.from_csv(Source())
         assert z.value(3.0) == (1.0, 0.01)
@@ -939,7 +960,7 @@ class TestCsvRoundTrip:
 
     @pytest.mark.parametrize("bad", [-0.02, math.nan, math.inf])
     def test_rejects_negative_or_non_finite_se(self, bad):
-        # estimate_deltas combines errors with math.hypot, which would drop the sign
+        # an error is the square root of a variance: finite and >= 0, checked before any cov
         text = f"# {{}}\np,zeta_hat,se\n0,0,0\n3,1.0,0.01\n6,1.77,{bad}\n9,2.4,0.05\n"
         with pytest.raises(ValueError, match="stderr entries must be finite and >= 0"):
             ZetaEstimate.from_csv(io.StringIO(text))
@@ -1012,8 +1033,8 @@ class TestCsvRoundTripProperties:
 
     @settings(max_examples=60, deadline=None)
     @given(n_rows=st.integers(1, 20), data=st.data(),
-           meta=METADATA.map(without_cov), with_cov=st.booleans())
-    def test_zeta_estimate(self, n_rows, data, meta, with_cov):
+           meta=METADATA.map(without_cov))
+    def test_zeta_estimate(self, n_rows, data, meta):
         column = hnp.arrays(float, n_rows, elements=FLOATS)
         # ZetaEstimate rejects a repeated, negative or non-finite order; -0.0 is still drawn
         orders = hnp.arrays(float, n_rows, unique=True, elements=st.floats(
@@ -1021,18 +1042,13 @@ class TestCsvRoundTripProperties:
         # ZetaEstimate rejects a negative se; -0.0 and subnormals are still drawn
         errors = hnp.arrays(float, n_rows, elements=st.floats(min_value=-0.0, allow_infinity=False,
                                                               allow_subnormal=True))
-        se, cov = data.draw(errors), None
-        if with_cov:
-            se, cov = draw_covariance(data, se)
+        se, cov = draw_covariance(data, data.draw(errors))
         z = ZetaEstimate(p=data.draw(orders), zeta_hat=data.draw(column), se=se, metadata=meta,
                          cov=cov)
         back = ZetaEstimate.from_csv(round_trip(z.to_csv))
-        for name in ("p", "zeta_hat", "se"):
-            assert getattr(back, name).tobytes() == getattr(z, name).tobytes()
-        if with_cov:
-            assert back.cov.dtype == z.cov.dtype and back.cov.tobytes() == z.cov.tobytes()
-        else:
-            assert back.cov is None
+        for name in ("p", "zeta_hat", "se", "cov"):
+            got, want = getattr(back, name), getattr(z, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert json.dumps(back.metadata) == json.dumps(meta)
 
     @settings(max_examples=60, deadline=None)

@@ -109,12 +109,20 @@ class TestUsageErrors:
 
 
 # a zeta-estimate CSV of the canonical law's orders 0, 3, ..., 18
-ZETA_CSV = ("# {}\np,zeta_hat,se\n0,0,0\n3,1,0.01\n6,1.5,0.02\n9,1.8,0.02\n12,2,0.03\n"
-            "15,2.15,0.03\n18,2.25,0.04\n")
-# a covariance whose diagonal is ZETA_CSV's se squared, and adjacent orders correlated 0.5
+ZETA_ROWS = ("p,zeta_hat,se\n0,0,0\n3,1,0.01\n6,1.5,0.02\n9,1.8,0.02\n12,2,0.03\n"
+             "15,2.15,0.03\n18,2.25,0.04\n")
+# a covariance whose diagonal is ZETA_ROWS' se squared, and adjacent orders correlated 0.5
 COV = np.diag(np.array([0.0, 0.01, 0.02, 0.02, 0.03, 0.03, 0.04]) ** 2)
 COV += np.diag(0.5 * np.sqrt(np.diagonal(COV)[1:] * np.diagonal(COV)[:-1]), 1)
 COV = np.triu(COV) + np.triu(COV, 1).T
+
+
+def zeta_csv(cov) -> str:
+    """ZETA_ROWS under a JSON line that carries `cov`."""
+    return f"# {json.dumps({'cov': cov})}\n" + ZETA_ROWS
+
+
+ZETA_CSV = zeta_csv(COV.tolist())
 
 
 class TestOutOfRangeParameters:
@@ -249,15 +257,13 @@ class TestSimulateAnalyze:
         ("# {}\np,zeta_hat,se\n", "no data rows"),
         (ZETA_CSV.replace("6,1.5,0.02", "6,1.5,nan"), "stderr entries must be finite"),
         (ZETA_CSV.replace("6,1.5,0.02", "6,1.5,-0.02"), "stderr entries must be finite and >= 0"),
-        (ZETA_CSV.replace("# {}", '# {"cov": [[0.0]]}'), "expected a 7 x 7 covariance"),
-        (ZETA_CSV.replace("# {}", '# {"cov": "x"}'), "must be a numeric matrix"),
-        (ZETA_CSV.replace("# {}", '# {"cov": {"a": 1}}'), "must be a numeric matrix"),
-        (ZETA_CSV.replace("# {}", "# " + json.dumps({"cov": COV.tolist()})).replace(
-            "6,1.5,0.02", "6,1.5,0.03"), "diagonal are not se"),
-        (ZETA_CSV.replace("# {}", "# " + json.dumps({"cov": (COV + np.triu(COV, 1) * 0.5).tolist()})),
-         "not symmetric"),
-        (ZETA_CSV.replace("# {}", "# " + json.dumps({"cov": np.where(COV > 0, COV, np.nan).tolist()})),
-         "must be finite"),
+        ("# {}\n" + ZETA_ROWS, "needs the covariance of zeta_hat"),
+        (zeta_csv([[0.0]]), "expected a 7 x 7 covariance"),
+        (zeta_csv("x"), "must be a numeric matrix"),
+        (zeta_csv({"a": 1}), "must be a numeric matrix"),
+        (ZETA_CSV.replace("6,1.5,0.02", "6,1.5,0.03"), "diagonal are not se"),
+        (zeta_csv((COV + np.triu(COV, 1) * 0.5).tolist()), "not symmetric"),
+        (zeta_csv(np.where(COV > 0, COV, np.nan).tolist()), "must be finite"),
         (ZETA_CSV + "3,1.5,0.01\n", "order p = 3.0 appears in more than one row"),
     ])
     def test_empty_or_header_only_csv_exits_1_with_json_stderr(self, tmp_path, capsys, text,
