@@ -10,3 +10,16 @@ def no_thread_left_behind():
     threads = threading.active_count()
     yield
     assert threading.active_count() <= threads, threading.enumerate()
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """The threads started while the test runs, in the order they start."""
+    started, start = [], threading.Thread.start
+
+    def record(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", record)
+    return started

@@ -364,6 +364,15 @@ class TestPipeline:
             simulate(cfg, gen)
         assert threading.active_count() == threads
 
+    @pytest.mark.parametrize("gen, workers", [
+        (SL_LP, 0), (LevyGenerator(drift=SL_LP.a, sigma2=0.2, atoms=((SL_LP.b, SL_LP.lam),)), 1),
+    ], ids=["count path", "sample path"])
+    def test_threads_started(self, thread_starts, gen, workers):
+        # the count path runs on this thread; the sample path starts its one worker
+        cfg = SimConfig(params=CascadeParams(r=0.5, k=3), n_levels=3, n_samples=40_000, seed=0)
+        simulate(cfg, gen)
+        assert len(thread_starts) == workers
+
     @pytest.mark.parametrize("gen, error", [
         (LevyGenerator(atoms=((-1.0, 1e8),)), ValueError),  # past the rate cap
         (LevyGenerator(drift=-1e200, atoms=((SL_LP.b, SL_LP.lam),)), OverflowError),
@@ -615,6 +624,25 @@ class TestEstimateZeta:
         x = np.arange(1, 5) * LN_HALF
         var = 1e-4 / ((x - x.mean()) ** 2).sum()
         np.testing.assert_allclose(z.cov, np.diag([0.0, var, var]), rtol=1e-12, atol=1e-300)
+
+    @pytest.mark.parametrize("se", [
+        [0.04, 0.03, 0.02, 0.01, 0.005],
+        [0.0, 0.0, 0.0, 0.0, 0.01],
+        [0.0, 0.0, 0.0, 0.0, 0.0],
+    ], ids=["falling se", "one row with se", "no se"])
+    def test_ols_weights_kept(self, se):
+        # rho <= 1, or fewer than two rows with se > 0, leave the OLS weights: zeta_hat is
+        # the OLS slope and its variance sum coef**2 se**2
+        se = np.array(se)
+        ln_s = np.array([-0.31, -0.55, -0.83, -1.02, -1.37])
+        table = StructureTable(p=np.full(5, 3.0), n=np.arange(1, 6), ln_s=ln_s, se=se,
+                               metadata={"r": 0.5, "n_samples": 0, "seed": 0},
+                               cov=np.diag(se**2))
+        z = estimate_zeta(table)
+        x = np.arange(1, 6) * LN_HALF
+        coef = (x - x.mean()) / ((x - x.mean()) ** 2).sum()
+        assert z.value(3.0) == pytest.approx((coef @ ln_s, math.sqrt(coef**2 @ se**2)),
+                                             rel=1e-12, abs=1e-300)
 
     def test_non_finite_rows_get_zero_weight(self):
         # a non-finite ln_S row drops out of the slope and of the covariance, whatever its cov

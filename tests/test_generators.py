@@ -18,6 +18,7 @@ from hscascade.generators import (
     LevyGenerator,
     _BLOCK,
     _bucketed_pick,
+    _count_stream,
     _count_table,
     _sample_rows,
     LogPoissonParams,
@@ -661,7 +662,8 @@ class TestCountTable:
     """The counts are one uniform each, inverted on a table of the Poisson CDF: pdtr's from a
     total rate of 2 up, the pmf recurrence's below it."""
 
-    @pytest.mark.parametrize("rate", [1e-3, SL_LP.lam, 2.0, 9.9, 50.0, 400.0, 1e5])
+    @pytest.mark.parametrize("rate", [1e-3, SL_LP.lam, np.nextafter(2.0, 0.0), 2.0, 9.9, 50.0,
+                                      400.0, 1e5])
     def test_chi_square_against_pdtr(self, rate):
         n = 1 << 20
         got = jump_counts(rate, n, 13)
@@ -707,6 +709,85 @@ class TestCountTable:
             sample_logW(gen, 10, 0)
         with pytest.raises(ValueError, match="cap of 16777216"):
             next(_sample_rows(gen, 3, 10, 0))
+
+
+# rates below 2 at its ends and at the canonical law's 2 ln 2, and the first pdtr rate
+STREAM_RATES = [1e-3, 2.0 * math.log(2.0), 1.9999, 2.0]
+
+
+class TestCountStream:
+    """Each count is the next uniform of the key's own stream, inverted on the count table, so
+    draws in turn are one draw's counts."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(rate=st.sampled_from(STREAM_RATES) | st.floats(0.0, 20.0, exclude_min=True),
+           sizes=st.lists(st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1])
+                          | st.integers(1, 5000), min_size=1, max_size=3),
+           seed=st.integers(0, 2**128 - 1))
+    def test_draws_in_turn_are_one_draw(self, rate, sizes, seed):
+        draw = _count_stream(rate, seed)
+        got = np.concatenate([draw(n) for n in sizes])
+        assert got.tobytes() == _count_stream(rate, seed)(sum(sizes)).tobytes()
+
+    @pytest.mark.parametrize("rate", STREAM_RATES)
+    def test_one_uniform_per_count(self, rate):
+        # the i-th count of the stream inverts its i-th uniform, across two draws
+        for seed in (0, 7, 2**128 - 1):
+            u = np.random.Generator(np.random.Philox(key=seed)).random(1005)
+            draw = _count_stream(rate, seed)
+            got = np.concatenate([draw(1000), draw(5)])
+            assert np.array_equal(got, stats.poisson.ppf(u, rate))
+
+    def test_zero_rate_draws_nothing(self, monkeypatch):
+        # no table and no bit generator: the counts are int64 zeros
+        def refused(*args, **kwargs):
+            raise AssertionError("a zero rate built a count table or a bit generator")
+
+        monkeypatch.setattr(gens_module, "_count_table", refused)
+        monkeypatch.setattr(np.random, "Philox", refused)
+        draw = _count_stream(0.0, 5)
+        for n in (1, _BLOCK + 1):
+            got = draw(n)
+            assert got.dtype == np.int64 and len(got) == n and not got.any()
+
+    @pytest.mark.parametrize("rate", STREAM_RATES[:3])
+    def test_matches_reference_across_blocks(self, rate):
+        # 300k draws span two blocks of _BLOCK samples on the one-atom path, and on the
+        # general path of two atoms, whose blocks below rate 1 are _BLOCK samples too
+        for gen in (LevyGenerator(drift=0.1, atoms=((-0.3, rate),)),
+                    LevyGenerator(drift=0.1, atoms=((-0.3, rate / 2), (0.2, rate / 2)))):
+            for seed in (0, 2**128 - 1):
+                got = sample_logW(gen, 300_000, seed)
+                assert got.tobytes() == reference_sample_logW(gen, 300_000, seed).tobytes()
+
+
+class TestNoThread:
+    """The counts are drawn on the calling thread: sampling starts no thread, on return or on
+    error, below rate 2 or from the pdtr table."""
+
+    @pytest.mark.parametrize("rate", [SL_LP.lam, 9.9])
+    def test_rows_start_none(self, thread_starts, rate):
+        rows = _sample_rows(LevyGenerator(atoms=((SL_LP.b, rate),)), 3, 100_000, 0)
+        next(rows)
+        rows.close()
+        assert thread_starts == []
+
+    @pytest.mark.parametrize("draw", [
+        lambda: sample_logW(SL_LP, 100_000, 0),
+        lambda: empirical_w1_multipliers(split_perturbation(SL_LP, 3, 0.05), SL_LP, 100_000, 0),
+    ], ids=["sample_logW", "empirical_w1_multipliers"])
+    def test_none_started_by_a_return(self, thread_starts, draw):
+        draw()
+        assert thread_starts == []
+
+    @pytest.mark.parametrize("gen, error", [
+        (LevyGenerator(atoms=((-1.0, 1e8),)), ValueError),  # past the rate cap
+        (LevyGenerator(drift=800.0, atoms=((SL_LP.b, SL_LP.lam),)), OverflowError),  # W = inf
+    ], ids=["rate cap", "overflow"])
+    def test_none_started_by_a_raise(self, thread_starts, gen, error):
+        with pytest.raises(error):
+            empirical_w1_multipliers(gen, SL_LP, 100_000, 0)
+        assert thread_starts == []
 
 
 class TestSampleRows:
