@@ -4,15 +4,24 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hscascade.exponents import DeltaSeries, ScalingLaw
+from hscascade.exponents import DeltaSeries, ScalingLaw, law_from_deltas
 from hscascade.generators import (
     LevyGenerator,
     StableTail,
     delta_series_analytic,
     logpoisson_from_scaling,
 )
-from hscascade.symmetry import characterize, classify, fit_a1
+from hscascade.symmetry import (
+    A1Report,
+    _digest,
+    characterize,
+    classify,
+    default_tolerance,
+    fit_a1,
+)
 
 SL = ScalingLaw(gamma=1.0 / 9.0, big_c=2.0, beta=2.0 / 3.0, k=3)
 SL_LP = logpoisson_from_scaling(SL, 0.5)
@@ -172,6 +181,219 @@ class TestClassify:
         assert doc["m_max"] == 12
         assert len(doc["series_digest"]) == 16
         assert doc["law"]["k"] == 3
+
+
+class TestClassifyArms:
+    """One test per arm of classify's decision, on the fields each arm sets."""
+
+    def test_constant_arm(self):
+        report = classify(DeltaSeries(k=2, m=range(6), delta=[0.4] * 6))
+        assert report.verdict == "monofractal"
+        assert math.isnan(report.beta_hat)
+        assert report.delta_inf_hat == pytest.approx(0.4)
+        assert report.epsilon_hat < 1e-15
+        assert report.law.big_c == 0.0
+        assert report.law.gamma == report.delta_inf_hat / 2
+        assert report.law.k == 2
+
+    def test_affine_arm(self):
+        report = classify(DeltaSeries(k=2, m=range(8), delta=[0.1 - 0.29 * m for m in range(8)]))
+        assert report.verdict == "affine-divergent"
+        assert math.isnan(report.beta_hat)
+        assert math.isnan(report.delta_inf_hat)
+        assert report.epsilon_hat == math.inf
+        assert report.law is None
+
+    def test_fit_arm_a1_holds(self):
+        report = classify(SL_SERIES)
+        assert report.verdict == "a1-holds"
+        assert report.beta_hat == pytest.approx(2.0 / 3.0, abs=1e-8)
+        assert report.law.big_c == pytest.approx(2.0, abs=1e-8)
+        assert report.law.gamma == pytest.approx(1.0 / 9.0, abs=1e-8)
+        assert report.law.beta == report.beta_hat
+
+    def test_fit_arm_tie_rule(self):
+        # the fit passes at tol = 0.002, but its relaxation amplitude is below the tolerance
+        series = DeltaSeries(k=1, m=range(6), delta=(0.5, 0.5, 0.501, 0.503, 0.501, 0.5))
+        report = classify(series, tol=0.002)
+        assert report.verdict == "monofractal"
+        assert report.beta_hat == pytest.approx(0.389, abs=1e-3)
+        assert math.isfinite(report.epsilon_hat) and report.epsilon_hat <= 0.002
+        assert report.law.big_c == 0.0
+        assert report.law.beta == 0.5
+        assert report.law.gamma == report.delta_inf_hat
+
+    def test_unidentifiable_fit_is_other(self):
+        # a variation of 1e-13 is not constant at tol = 0, but fit_a1 calls it constant
+        series = DeltaSeries(k=1, m=range(8), delta=[0.4 + 1e-13 * (m % 2) for m in range(8)])
+        report = classify(series, tol=0.0)
+        assert report.verdict == "other"
+        assert math.isnan(report.beta_hat)
+        assert report.delta_inf_hat == pytest.approx(0.4)
+        assert report.law is None
+
+    def test_other_arm(self):
+        series = DeltaSeries(k=1, m=range(8), delta=[1.0, 0.3, 0.9, -0.2, 0.5, 0.1, 0.7, 0.0])
+        report = classify(series)
+        assert report.verdict == "other"
+        assert 0.0 < report.beta_hat < 1.0
+        assert report.epsilon_hat > 0.1
+        assert report.law is None
+
+    def test_power_decay_arm(self):
+        gen = LevyGenerator(drift=-0.1, tail=StableTail(alpha=0.5, c=0.05, x_min=1e-4, x_max=1.0))
+        report = classify(delta_series_analytic(gen, 0.5, 1, 25))
+        assert report.verdict == "power-decay"
+        assert math.isfinite(report.beta_hat)
+        assert report.law is None
+
+    def test_increasing_fit_refuses_negative_concentration(self):
+        series = delta_series_exact(SL, 10)
+        with pytest.raises(ValueError, match="negative concentration"):
+            classify(DeltaSeries(k=3, m=series.m, delta=[-v for v in series.delta]))
+
+    def test_law_keys(self):
+        doc = classify(SL_SERIES).to_dict()
+        assert list(doc["law"]) == ["gamma", "big_c", "beta", "k"]
+        assert doc["logpoisson"] is None
+
+
+def reference_classify(series, tol=None):
+    """classify before its arms shared one report: each arm builds its own A1Report."""
+    if len(series) < 5:
+        raise ValueError(f"need at least 5 series entries, got {len(series)}")
+    if tol is None:
+        tol = default_tolerance(series)
+    if not tol >= 0:
+        raise ValueError(f"tolerance must be >= 0, got {tol}")
+    d = np.asarray(series.delta, dtype=float)
+    scale = max(np.abs(d).max(), 1.0)
+    digest = _digest(series)
+    m_max = int(max(series.m))
+
+    if np.abs(d - d.mean()).max() <= tol * scale:
+        return A1Report(
+            beta_hat=math.nan,
+            delta_inf_hat=float(d.mean()),
+            epsilon_hat=float(np.abs(d - d.mean()).max()),
+            verdict="monofractal",
+            law=ScalingLaw(gamma=float(d.mean()) / series.k, big_c=0.0, beta=0.5, k=series.k),
+            m_max=m_max,
+            series_digest=digest,
+        )
+
+    diffs = np.diff(d)
+    if np.abs(diffs - diffs.mean()).max() <= tol * scale and abs(diffs.mean()) > tol * scale:
+        return A1Report(
+            beta_hat=math.nan,
+            delta_inf_hat=math.nan,
+            epsilon_hat=math.inf,
+            verdict="affine-divergent",
+            m_max=m_max,
+            series_digest=digest,
+        )
+
+    fit = fit_a1(series)
+    if fit.identifiable and 0.0 < fit.beta_hat < 1.0 and fit.epsilon_hat <= tol * scale:
+        if abs(fit.amplitude) < tol * scale:
+            verdict = "monofractal"
+            law = ScalingLaw(gamma=fit.delta_inf_hat / series.k, big_c=0.0, beta=0.5, k=series.k)
+        else:
+            verdict = "a1-holds"
+            law = law_from_deltas(
+                fit.delta_inf_hat + fit.amplitude, fit.delta_inf_hat, fit.beta_hat, series.k
+            )
+        return A1Report(
+            beta_hat=fit.beta_hat,
+            delta_inf_hat=fit.delta_inf_hat,
+            epsilon_hat=fit.epsilon_hat,
+            verdict=verdict,
+            law=law,
+            m_max=m_max,
+            series_digest=digest,
+        )
+
+    verdict = "other"
+    if (
+        len(diffs) >= 5
+        and (np.all(diffs > 0) or np.all(diffs < 0))
+        and np.all(((ratios := diffs[1:] / diffs[:-1]) > 0) & (ratios < 1))
+        and np.all(np.diff(ratios) > -1e-9)
+        and ratios[-1] - ratios[0] > 0.01
+    ):
+        tail = ratios[len(ratios) // 2 :]
+        ms = np.arange(len(ratios) // 2 + 1, len(ratios) + 1, dtype=float)
+        _, c0 = np.polyfit(1.0 / ms, tail, 1)
+        if c0 >= 0.85:
+            verdict = "power-decay"
+    return A1Report(
+        beta_hat=fit.beta_hat,
+        delta_inf_hat=fit.delta_inf_hat,
+        epsilon_hat=fit.epsilon_hat,
+        verdict=verdict,
+        m_max=m_max,
+        series_digest=digest,
+    )
+
+
+def report_text(call):
+    """The JSON text of a report, or the type and message of the exception or warning
+    raised instead."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return json.dumps(call().to_dict())
+    except (ValueError, OverflowError, RuntimeWarning) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@st.composite
+def delta_series(draw):
+    """Series near each arm of classify: constant, affine, geometric, power decay or random,
+    with noise from none to large and optional standard errors."""
+    n = draw(st.integers(5, 14))
+    m = np.arange(n, dtype=float)
+    kind = draw(st.sampled_from(["constant", "affine", "geometric", "power", "random"]))
+    a = draw(st.floats(-2.0, 2.0))
+    b = draw(st.floats(-2.0, 2.0))
+    if kind == "constant":
+        d = np.full(n, a)
+    elif kind == "affine":
+        d = a + b * m
+    elif kind == "geometric":
+        d = a + b * draw(st.floats(1e-3, 0.999)) ** m
+    elif kind == "power":
+        d = a + b * (m + 1.0) ** (draw(st.floats(0.1, 0.95)) - 1.0)
+    else:
+        d = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
+    noise = draw(st.sampled_from([0.0, 1e-13, 1e-9, 1e-5, 1e-3, 1e-1]))
+    d = d + noise * np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    stderr = draw(st.none() | st.lists(st.floats(0.0, 0.1), min_size=n, max_size=n))
+    return DeltaSeries(k=draw(st.integers(1, 4)), m=range(n), delta=d, stderr=stderr)
+
+
+class TestClassifyMatchesReference:
+    """classify gives reference_classify's report text, or its exception, on every series."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(series=delta_series(),
+           tol=st.none() | st.sampled_from([0.0, 1e-12, 1e-8, 1e-4, 2e-3, 1e-1])
+           | st.floats(0.0, 0.5))
+    def test_matches_reference(self, series, tol):
+        assert report_text(lambda: classify(series, tol)) == report_text(
+            lambda: reference_classify(series, tol))
+
+    @pytest.mark.parametrize("m_max", [4, 12, 25])
+    def test_matches_reference_on_the_families(self, m_max):
+        tail = StableTail(alpha=0.5, c=0.05, x_min=1e-4, x_max=1.0)
+        gens = [SL_LP, LevyGenerator(drift=-0.3), LevyGenerator(drift=-0.1, sigma2=0.2),
+                *(LevyGenerator(drift=-0.1, tail=StableTail(alpha=a, c=0.05, x_min=1e-4,
+                                                            x_max=1.0)) for a in (0.3, 0.8)),
+                LevyGenerator(drift=SL_LP.a, tail=tail)]
+        for gen in gens:
+            series = delta_series_analytic(gen, 0.5, 3, m_max)
+            assert report_text(lambda: classify(series)) == report_text(
+                lambda: reference_classify(series))
 
 
 class TestCharacterize:
