@@ -24,7 +24,7 @@ from decimal import Decimal, InvalidOperation
 
 import numpy as np
 
-from .exponents import CascadeParams, DeltaSeries, _check_integers, _check_order
+from .exponents import CascadeParams, DeltaSeries, _check_integers, _check_k, _check_order
 from .generators import _cumulative_counts, _sample_rows, as_levy
 
 __all__ = [
@@ -523,8 +523,7 @@ def estimate_deltas(zeta: ZetaEstimate, k: int) -> DeltaSeries:
     With the estimate's covariance V the errors are sqrt(diag(D V D^T)),
     D the first difference over the orders 0, k, 2k, ...
     """
-    if k < 1:
-        raise ValueError(f"hierarchy step k must be >= 1, got {k}")
+    k = _check_k(k)
     row = {p: i for i, p in enumerate(zeta.p.tolist())}  # ZetaEstimate's orders are distinct
     rows = []
     while len(rows) * k in row:  # the run of orders 0, k, 2k, ...

@@ -51,14 +51,18 @@ non_negative_int = _int_at_least(0)
 
 
 def eps_grid(text: str) -> list:
-    """Parse 'hi:lo' into a decade grid, e.g. 1e-1:1e-6."""
+    """Parse 'hi:lo' into a decade grid from HI down to LO, e.g. 1e-1:1e-6; HI/LO is a
+    whole power of 10."""
     try:
         hi, lo = (float(v) for v in text.split(":"))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected HI:LO, got {text!r}")
     if not (0 < lo < hi and math.isfinite(hi / lo)):
         raise argparse.ArgumentTypeError("need 0 < LO < HI with a finite HI/LO")
-    n = int(round(math.log10(hi / lo)))
+    decades = math.log10(hi / lo)
+    n = round(decades)
+    if abs(decades - n) > 1e-9:
+        raise argparse.ArgumentTypeError(f"HI/LO must be a whole power of 10, got {hi / lo!r}")
     return [hi * 10.0**-i for i in range(n + 1)]
 
 
@@ -279,6 +283,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "gen", None) == "json" and args.gen_json is None:
         parser.error("--gen json requires --gen-json")
+    if getattr(args, "gen_json", None) is not None and args.gen != "json":
+        parser.error("--gen-json requires --gen json")
+    if getattr(args, "mean_one", False) and args.gamma is not None:
+        parser.error("--gamma has no effect with --mean-one, which sets the drift")
     try:
         return args.func(args)
     except (ValueError, OverflowError, MemoryError, OSError, KeyError) as exc:

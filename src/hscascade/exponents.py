@@ -59,6 +59,13 @@ def _check_ratio(r) -> None:
         raise ValueError(f"scale ratio r must lie in (0,1), got {r}")
 
 
+def _check_k(k) -> int:
+    """k as an int; refuses a bool, nan, inf, a non-integral value and k < 1."""
+    if isinstance(k, bool) or not (k >= 1 and k % 1 == 0):  # inf % 1 and nan % 1 are nan
+        raise ValueError(f"hierarchy step k must be a positive integer, got {k}")
+    return int(k)
+
+
 def _check_integers(**values) -> None:
     """Refuse a value that is not a Python or NumPy integer (a bool included), by name."""
     for name, value in values.items():
@@ -75,9 +82,7 @@ class CascadeParams:
 
     def __post_init__(self):
         _check_ratio(self.r)
-        if int(self.k) != self.k or self.k < 1:
-            raise ValueError(f"hierarchy step k must be a positive integer, got {self.k}")
-        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "k", _check_k(self.k))
 
 
 @dataclass(frozen=True)
@@ -99,9 +104,7 @@ class ScalingLaw:
             raise ValueError(f"linear drift gamma must be finite, got {self.gamma}")
         if not 0.0 <= self.big_c < math.inf:
             raise ValueError(f"concentration amplitude must be finite and >= 0, got {self.big_c}")
-        if int(self.k) != self.k or self.k < 1:
-            raise ValueError(f"hierarchy step k must be a positive integer, got {self.k}")
-        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "k", _check_k(self.k))
 
     @property
     def delta_inf(self) -> float:
@@ -133,6 +136,7 @@ class DeltaSeries:
     stderr: tuple | None = None
 
     def __post_init__(self):
+        k = _check_k(self.k)
         m = tuple(int(v) for v in self.m)
         d = tuple(float(v) for v in self.delta)
         if len(m) != len(d):
@@ -150,6 +154,7 @@ class DeltaSeries:
                 raise ValueError("stderr must match delta length")
             if not all(0.0 <= v < math.inf for v in se):
                 raise ValueError(f"stderr entries must be finite and >= 0, got {se}")
+        object.__setattr__(self, "k", k)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "delta", d)
         object.__setattr__(self, "stderr", se)

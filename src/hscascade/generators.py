@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exponents import DeltaSeries, ScalingLaw, _check_integers, _check_order, _check_ratio
+from .exponents import DeltaSeries, ScalingLaw, _check_integers, _check_k, _check_order, _check_ratio
 
 __all__ = [
     "LogPoissonParams",
@@ -199,8 +199,7 @@ def ln_moment(gen, p):
 def _analytic_deltas(gen, r: float, k: int, m_max: int) -> np.ndarray:
     """The deltas of delta_series_analytic as an array; a non-finite one raises as in DeltaSeries."""
     _check_ratio(r)
-    if k < 1:
-        raise ValueError(f"hierarchy step k must be >= 1, got {k}")
+    k = _check_k(k)
     if m_max < 2:
         raise ValueError(f"m_max must be >= 2, got {m_max}")
     psi = ln_moment(gen, k * np.arange(m_max + 2))

@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -51,7 +51,8 @@ class A1Report:
     series_digest: str = ""
 
     def to_dict(self) -> dict:
-        doc = {
+        lp = self.logpoisson
+        return {
             "schema_version": SCHEMA_VERSION,
             "beta_hat": self.beta_hat,
             "delta_inf_hat": self.delta_inf_hat,
@@ -59,23 +60,9 @@ class A1Report:
             "verdict": self.verdict,
             "m_max": self.m_max,
             "series_digest": self.series_digest,
-            "law": None,
-            "logpoisson": None,
+            "law": None if self.law is None else asdict(self.law),
+            "logpoisson": None if lp is None else {"a": lp.a, "b": lp.b, "lambda": lp.lam},
         }
-        if self.law is not None:
-            doc["law"] = {
-                "gamma": self.law.gamma,
-                "big_c": self.law.big_c,
-                "beta": self.law.beta,
-                "k": self.law.k,
-            }
-        if self.logpoisson is not None:
-            doc["logpoisson"] = {
-                "a": self.logpoisson.a,
-                "b": self.logpoisson.b,
-                "lambda": self.logpoisson.lam,
-            }
-        return doc
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -171,8 +158,47 @@ def default_tolerance(series: DeltaSeries) -> float:
     return max(1e-8, 3.0 * float(np.median(series.stderr)))
 
 
+def _power_decay(diffs: np.ndarray) -> bool:
+    """Whether the first differences decay as a power of m rather than geometrically.
+
+    Power decay is detected on first differences, which are free of the
+    fitted asymptote: their successive ratios increase toward 1, while a
+    geometric series keeps them constant at beta < 1.  The sign test
+    comes first, so the ratios never divide by a zero difference.  The
+    tail half of the ratios is extrapolated in 1/m; a limit near 1 marks
+    power decay.
+    """
+    if not (
+        len(diffs) >= 5
+        and (np.all(diffs > 0) or np.all(diffs < 0))
+        and np.all(((ratios := diffs[1:] / diffs[:-1]) > 0) & (ratios < 1))
+        and np.all(np.diff(ratios) > -1e-9)
+        and ratios[-1] - ratios[0] > 0.01
+    ):
+        return False
+    tail = ratios[len(ratios) // 2 :]
+    ms = np.arange(len(ratios) // 2 + 1, len(ratios) + 1, dtype=float)
+    _, c0 = np.polyfit(1.0 / ms, tail, 1)
+    return bool(c0 >= 0.85)
+
+
 def classify(series: DeltaSeries, tol: float | None = None) -> A1Report:
-    """Decision tree over the principal cascade families."""
+    """Decision over the principal cascade families: the first arm whose test holds decides.
+
+    band = tol * max(1, max |delta|) and dev = max |delta - mean|; D is fit_a1's
+    amplitude, and "fit" is fit_a1's value.
+
+    arm       test                          verdict                    beta  delta_inf  epsilon
+    constant  dev <= band                   monofractal                nan   mean       dev
+    affine    diffs constant to band,       affine-divergent           nan   nan        inf
+              their mean beyond it
+    fit       fit identifiable, beta in     monofractal if |D| < band  fit   fit        fit
+              (0, 1), epsilon <= band       (the tie rule), a1-holds
+    other     anything else                 power-decay or other       fit   fit        fit
+
+    The law of a monofractal has C = 0, gamma = delta_inf / k and the placeholder
+    beta = 0.5; that of a1-holds is law_from_deltas at the fit; the others have none.
+    """
     if len(series) < 5:
         raise ValueError(f"need at least 5 series entries, got {len(series)}")
     if tol is None:
@@ -180,81 +206,29 @@ def classify(series: DeltaSeries, tol: float | None = None) -> A1Report:
     if not tol >= 0:
         raise ValueError(f"tolerance must be >= 0, got {tol}")
     d = np.asarray(series.delta, dtype=float)
-    scale = max(np.abs(d).max(), 1.0)
-    digest = _digest(series)
-    m_max = int(max(series.m))
+    band = tol * max(np.abs(d).max(), 1.0)
 
-    # constant series: C indistinguishable from 0
-    if np.abs(d - d.mean()).max() <= tol * scale:
-        return A1Report(
-            beta_hat=math.nan,
-            delta_inf_hat=float(d.mean()),
-            epsilon_hat=float(np.abs(d - d.mean()).max()),
-            verdict="monofractal",
-            law=ScalingLaw(gamma=float(d.mean()) / series.k, big_c=0.0, beta=0.5, k=series.k),
-            m_max=m_max,
-            series_digest=digest,
-        )
-
-    diffs = np.diff(d)
-    if np.abs(diffs - diffs.mean()).max() <= tol * scale and abs(diffs.mean()) > tol * scale:
-        return A1Report(
-            beta_hat=math.nan,
-            delta_inf_hat=math.nan,
-            epsilon_hat=math.inf,
-            verdict="affine-divergent",
-            m_max=m_max,
-            series_digest=digest,
-        )
-
-    fit = fit_a1(series)
-    if fit.identifiable and 0.0 < fit.beta_hat < 1.0 and fit.epsilon_hat <= tol * scale:
-        # tie rule: if the fitted relaxation amplitude vanishes, C ~ 0
-        if abs(fit.amplitude) < tol * scale:
-            verdict = "monofractal"
-            law = ScalingLaw(gamma=fit.delta_inf_hat / series.k, big_c=0.0, beta=0.5, k=series.k)
+    dev = float(np.abs(d - d.mean()).max())
+    beta_hat = delta_inf_hat = math.nan
+    if dev <= band:
+        verdict, delta_inf_hat, epsilon_hat = "monofractal", float(d.mean()), dev
+    elif np.abs((diffs := np.diff(d)) - diffs.mean()).max() <= band and abs(diffs.mean()) > band:
+        verdict, epsilon_hat = "affine-divergent", math.inf
+    else:
+        fit = fit_a1(series)
+        beta_hat, delta_inf_hat, epsilon_hat = fit.beta_hat, fit.delta_inf_hat, fit.epsilon_hat
+        if fit.identifiable and 0.0 < beta_hat < 1.0 and epsilon_hat <= band:
+            verdict = "monofractal" if abs(fit.amplitude) < band else "a1-holds"
         else:
-            verdict = "a1-holds"
-            law = law_from_deltas(
-                fit.delta_inf_hat + fit.amplitude, fit.delta_inf_hat, fit.beta_hat, series.k
-            )
-        return A1Report(
-            beta_hat=fit.beta_hat,
-            delta_inf_hat=fit.delta_inf_hat,
-            epsilon_hat=fit.epsilon_hat,
-            verdict=verdict,
-            law=law,
-            m_max=m_max,
-            series_digest=digest,
-        )
+            verdict = "power-decay" if _power_decay(diffs) else "other"
 
-    verdict = "other"
-    # Power decay is detected on first differences, which are free of the
-    # fitted asymptote: their successive ratios increase toward 1, while a
-    # geometric series keeps them constant at beta < 1.  The sign test
-    # comes first, so the ratios never divide by a zero difference.
-    if (
-        len(diffs) >= 5
-        and (np.all(diffs > 0) or np.all(diffs < 0))
-        and np.all(((ratios := diffs[1:] / diffs[:-1]) > 0) & (ratios < 1))
-        and np.all(np.diff(ratios) > -1e-9)
-        and ratios[-1] - ratios[0] > 0.01
-    ):
-        # extrapolate the tail half of the ratios in 1/m; a limit near 1
-        # marks power decay
-        tail = ratios[len(ratios) // 2 :]
-        ms = np.arange(len(ratios) // 2 + 1, len(ratios) + 1, dtype=float)
-        _, c0 = np.polyfit(1.0 / ms, tail, 1)
-        if c0 >= 0.85:
-            verdict = "power-decay"
-    return A1Report(
-        beta_hat=fit.beta_hat,
-        delta_inf_hat=fit.delta_inf_hat,
-        epsilon_hat=fit.epsilon_hat,
-        verdict=verdict,
-        m_max=m_max,
-        series_digest=digest,
-    )
+    law = None
+    if verdict == "monofractal":
+        law = ScalingLaw(gamma=delta_inf_hat / series.k, big_c=0.0, beta=0.5, k=series.k)
+    elif verdict == "a1-holds":
+        law = law_from_deltas(delta_inf_hat + fit.amplitude, delta_inf_hat, beta_hat, series.k)
+    return A1Report(beta_hat, delta_inf_hat, epsilon_hat, verdict, law,
+                    m_max=int(max(series.m)), series_digest=_digest(series))
 
 
 def _with_logpoisson(report: A1Report, r: float) -> A1Report:

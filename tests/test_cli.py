@@ -63,6 +63,27 @@ class TestUsageErrors:
         err = self.usage_error(capsys, "determinacy", "--gen", "json")
         assert "--gen-json" in err
 
+    def test_gen_json_without_gen_json(self, capsys):
+        err = self.usage_error(capsys, "determinacy", "--gen", "log-normal",
+                               "--gen-json", '{"kind": "atomic", "drift": -0.1, "sigma2": 0.2, "atoms": []}')
+        assert "--gen-json requires --gen json" in err
+
+    def test_gamma_with_mean_one(self, capsys, tmp_path):
+        # --mean-one sets the drift, so --gamma would be dropped
+        err = self.usage_error(capsys, "simulate", "--beta", "2/3", "--bigC", "2", "--r", "0.5",
+                               "--gamma", "0.5", "--mean-one", "--samples", "1000",
+                               "--out-structure", str(tmp_path / "s.csv"),
+                               "--out-zeta", str(tmp_path / "z.csv"))
+        assert "--gamma has no effect with --mean-one" in err
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("grid", ["1e-1:2e-2", "1:0.5"])
+    def test_eps_grid_between_decades(self, capsys, grid):
+        # a grid of whole decades from HI would pass LO (1e-1:2e-2) or stop short of it (1:0.5)
+        err = self.usage_error(capsys, "stability", "--beta", "2/3", "--bigC", "2",
+                               "--r", "0.5", "--eps-grid", grid)
+        assert "whole power of 10" in err
+
     def test_zero_hierarchy_step(self, capsys, tmp_path):
         # without --gamma the mean-one drift divides by k
         self.usage_error(capsys, "spectrum", "--beta", "2/3", "--bigC", "2", "--k", "0",

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hscascade.cascade import ZetaEstimate, estimate_deltas
 from hscascade.exponents import (
     CascadeParams,
     DeltaSeries,
@@ -17,6 +18,7 @@ from hscascade.exponents import (
     spectrum_width,
     zeta,
 )
+from hscascade.generators import LevyGenerator, delta_series_analytic
 
 SL = ScalingLaw(gamma=1.0 / 9.0, big_c=2.0, beta=2.0 / 3.0, k=3)
 
@@ -250,6 +252,27 @@ class TestTypes:
             CascadeParams(r=1.0)
         with pytest.raises(ValueError):
             CascadeParams(r=0.5, k=0)
+
+    @pytest.mark.parametrize("bad", [0, -1, 2.5, np.float64(0.5), math.nan, math.inf, True])
+    def test_one_hierarchy_step_check(self, bad):
+        p = np.arange(0.0, 10.0)
+        z = ZetaEstimate(p=p, zeta_hat=p / 3, se=np.zeros(10), cov=np.zeros((10, 10)))
+        calls = [
+            lambda: CascadeParams(r=0.5, k=bad),
+            lambda: ScalingLaw(gamma=0.1, big_c=1.0, beta=0.5, k=bad),
+            lambda: DeltaSeries(k=bad, m=(0, 1), delta=(1.0, 0.5)),
+            lambda: delta_series_analytic(LevyGenerator(drift=-0.1), 0.5, bad, 6),
+            lambda: estimate_deltas(z, bad),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="hierarchy step k must be a positive integer"):
+                call()
+
+    def test_integral_hierarchy_step_becomes_an_int(self):
+        assert type(CascadeParams(r=0.5, k=3.0).k) is int
+        assert type(ScalingLaw(gamma=0.1, big_c=1.0, beta=0.5, k=np.int64(2)).k) is int
+        series = delta_series_analytic(LevyGenerator(drift=-0.1), 0.5, 3.0, 6)
+        assert type(series.k) is int and series.k == 3
 
     def test_scaling_law_validation(self):
         with pytest.raises(ValueError):

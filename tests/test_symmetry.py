@@ -181,6 +181,8 @@ class TestClassify:
         assert doc["m_max"] == 12
         assert len(doc["series_digest"]) == 16
         assert doc["law"]["k"] == 3
+        assert list(doc["law"]) == ["gamma", "big_c", "beta", "k"]
+        assert doc["logpoisson"] is None
 
 
 class TestClassifyArms:
@@ -251,11 +253,6 @@ class TestClassifyArms:
         series = delta_series_exact(SL, 10)
         with pytest.raises(ValueError, match="negative concentration"):
             classify(DeltaSeries(k=3, m=series.m, delta=[-v for v in series.delta]))
-
-    def test_law_keys(self):
-        doc = classify(SL_SERIES).to_dict()
-        assert list(doc["law"]) == ["gamma", "big_c", "beta", "k"]
-        assert doc["logpoisson"] is None
 
 
 def reference_classify(series, tol=None):
