@@ -24,6 +24,7 @@ from decimal import Decimal, InvalidOperation
 
 import numpy as np
 
+from . import generators
 from .exponents import CascadeParams, DeltaSeries, _check_integers, _check_k, _check_order
 from .generators import _cumulative_counts, _sample_rows, as_levy
 
@@ -320,14 +321,13 @@ def _level_cells(p_list, z: np.ndarray, ns: int, group_sums, out=None) -> tuple:
     return ln_s, reps
 
 
-def _count_histogram(counts: np.ndarray) -> tuple:
+def _count_histogram(parts) -> tuple:
     """(j, hist): the jump counts j that occur, and hist[g, i], the number of samples of
     jackknife group g (as in _level_cells) with count j[i], as floats.
 
-    One np.bincount per group, so nothing the size of the sample is allocated.
+    parts holds each group's np.bincount of its samples' counts, so nothing the size of
+    the sample is allocated.
     """
-    cuts = _group_cuts(len(counts)).tolist()
-    parts = [np.bincount(counts[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
     hist = np.zeros((_GROUPS, max(map(len, parts))))
     for row, part in zip(hist, parts):
         row[:len(part)] = part
@@ -341,6 +341,42 @@ def _counts_suffice(g) -> bool:
     a rate below _COUNTS_RATE."""
     return (len(g.atoms) <= 1 and g.tail is None and g.sigma2 == 0.0
             and (not g.atoms or g.atoms[0][1] < _COUNTS_RATE))
+
+
+def _cells_from_counts(config: SimConfig, g) -> list:
+    """Per level, _level_cells over the histogram of (group, N), N the samples' cumulative
+    jump counts (see simulate), each order's group sums hist @ exp(p*z_j - m).
+
+    Groups g0 <= g < g1 are drawn as one range of every level's samples, into their own
+    running counts, and give each level's bincount per group (_cumulative_counts: sample i
+    of level n is position n * n_samples + i of the count stream, wherever it is drawn).
+    From 2 * _BLOCK samples up, where each half holds a full block, the groups split at
+    the middle cut: one worker thread draws the upper half of them while this thread
+    draws the lower, each ceil(_BLOCK / 2) samples at a time, so their temporaries add up
+    to one block's.  Below that this thread draws all groups, _BLOCK at a time, and no
+    thread is started.  The halves write apart, so the histograms, and the cells this
+    thread then takes of them, are the bytes of one draw and do not depend on timing.
+    """
+    x, rate = g.atoms[0] if g.atoms else (0.0, 0.0)
+    nl, ns, block = config.n_levels, config.n_samples, generators._BLOCK
+    cuts = _group_cuts(ns).tolist()
+
+    def bincounts(g0, g1, width):
+        lo, hi = cuts[g0], cuts[g1]
+        groups = list(zip(cuts[g0:g1], cuts[g0 + 1:g1 + 1]))
+        return [[np.bincount(counts[a - lo:b - lo]) for a, b in groups]
+                for counts in _cumulative_counts(rate, nl, ns, config.seed, lo, hi, width)]
+
+    if ns < 2 * block:
+        parts = bincounts(0, _GROUPS, block)
+    else:
+        mid, half = _GROUPS // 2, (block + 1) // 2
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            upper = worker.submit(bincounts, mid, _GROUPS, half)
+            parts = [a + b for a, b in zip(bincounts(0, mid, half), upper.result())]
+    return [_level_cells(config.p_list, n * g.drift + x * j, ns,
+                         lambda e: ((s := hist @ e).sum(), s))
+            for n, (j, hist) in enumerate(map(_count_histogram, parts), 1)]
 
 
 def _cells_over_samples(config: SimConfig, g) -> list:
@@ -389,13 +425,14 @@ def simulate(config: SimConfig, gen) -> StructureTable:
     rate below _COUNTS_RATE (the log-Poisson laws of the paper among them),
     has log Phi(r^n) = n*drift + x*N, N the sample's cumulative jump count.
     Such a law draws only the counts, from sample_logW's stream
-    (generators._count_stream), and starts no thread.  It keeps N in one
-    int64 array and takes each level's cells from the histogram of
-    (group, N), J ~ n*rate values wide: each order's group sums are
-    hist @ exp(p*z_j - m) over the J values z_j of log Phi.  So ln S and
-    its covariance differ from sums over the samples in their last digits
-    only, and memory is the count array plus one block of counts, for any
-    n_levels.
+    (generators._count_stream), and takes each level's cells from the
+    histogram of (group, N), J ~ n*rate values wide: each order's group
+    sums are hist @ exp(p*z_j - m) over the J values z_j of log Phi.  So
+    ln S and its covariance differ from sums over the samples in their
+    last digits only, and memory is the int64 counts N plus one block of
+    counts, for any n_levels.  Below 2 * _BLOCK samples it starts no
+    thread; from there up one worker thread draws the upper half of each
+    level's jackknife groups (_cells_from_counts).
 
     Every other law sums over its samples of log Phi, drawn row by row
     while one worker thread runs the previous level's cells
@@ -409,15 +446,7 @@ def simulate(config: SimConfig, gen) -> StructureTable:
     """
     nl, ns = config.n_levels, config.n_samples
     g = as_levy(gen)
-    if _counts_suffice(g):
-        x, rate = g.atoms[0] if g.atoms else (0.0, 0.0)
-        rows = _cumulative_counts(rate, nl, ns, config.seed)
-        # each histogram is taken before the next level adds its counts to the row
-        levels = [_level_cells(config.p_list, n * g.drift + x * j, ns,
-                               lambda e: ((s := hist @ e).sum(), s))
-                  for n, (j, hist) in enumerate(map(_count_histogram, rows), 1)]
-    else:
-        levels = _cells_over_samples(config, g)
+    levels = (_cells_from_counts if _counts_suffice(g) else _cells_over_samples)(config, g)
     # per level, orders first -> orders x levels (x groups), p-major rows
     ln_s, reps = (np.stack(part, axis=1) for part in zip(*levels))
     with np.errstate(over="ignore", invalid="ignore"):  # reported as OverflowError below

@@ -226,24 +226,28 @@ def sample_logW(gen, count: int, seed: int) -> np.ndarray:
     reads only its own stream, so the counts depend only on the seed and
     the total jump rate: two generators with equal total rate sampled
     with the same seed share their jump counts (useful for
-    common-random-number comparisons).  Each count is one uniform u
-    inverted on a table of P(N <= k) over the window k = rate -/+
-    (12 sqrt(rate) + 40), clipped at 0, with the last entry set to 1.0:
-    scipy.special.pdtr's from a total rate of 2 up, and below it, which
-    holds the canonical law's 2 ln 2, exact sums of the pmf recurrence,
-    which load no SciPy (_count_table).  A zero rate draws no uniforms.
-    u is a multiple of 2**-53, so the table resolves each count's
-    probability to 2**-53, and the mass outside the window, far below
-    2**-53, falls to its end counts.  A rate whose window reaches past
-    2**24 raises ValueError before anything is drawn.  Every jump is
-    sized from one jump table, the atom locations followed by a NaN slot
-    for a StableTail, at an index drawn from the categorical law of the
-    cumulative rates by an exact bucketed search; the tail's slots are
-    filled by an inverse-CDF draw, and each sample sums its jumps left to
-    right from 0.0.  A table of the tail alone draws no index, and a
-    table of at most one atom x and no tail draws nothing after the
-    counts: a sample with N jumps gets the jump sum N * x, one correctly
-    rounded product (0.0 with no atom).  The drift, or a normal drawn
+    common-random-number comparisons).  Count i is raw output i of the
+    key's own stream, read as the uniform u = (raw >> 11) * 2**-53 that
+    Generator.random makes of it, and inverted on a table of P(N <= k)
+    over the window k = rate -/+ (12 sqrt(rate) + 40), clipped at 0, with
+    the last entry set to 1.0: scipy.special.pdtr's from a total rate of
+    2 up, and below it, which holds the canonical law's 2 ln 2, exact
+    sums of the pmf recurrence, which load no SciPy (_count_table).  So
+    any range of counts can be drawn on its own, from its position
+    (_count_stream).  A zero rate reads no output.  u is a multiple of
+    2**-53, so the table resolves each count's probability to 2**-53,
+    and the mass outside the window, far below 2**-53, falls to its end
+    counts.  A rate whose window reaches past 2**24 raises ValueError
+    before anything is drawn.  Every jump is sized from one jump table,
+    the atom locations followed by a NaN slot for a StableTail, at an
+    index drawn from the categorical law of the cumulative rates by an
+    exact bucketed search on the raw outputs of its stream, read as
+    uniforms as the counts are; the tail's slots are filled by an
+    inverse-CDF draw, and each sample sums its jumps left to right from
+    0.0.  A table of the tail alone draws no index, and a table of at
+    most one atom x and no tail draws nothing after the counts: a sample
+    with N jumps gets the jump sum N * x, one correctly rounded product
+    (0.0 with no atom).  The drift, or a normal drawn
     about it, is added to the jump sum last.  This is the one-row case of
     _sample_rows, so memory is the output plus O(one block).
     """
@@ -254,32 +258,33 @@ def sample_logW(gen, count: int, seed: int) -> np.ndarray:
 
 
 def _bucketed_pick(edges: np.ndarray):
-    """An exact guide-table search: pick(u) == np.searchsorted(edges, u, side="right").
+    """An exact guide-table search on raw Philox outputs:
+    pick(raw) == np.searchsorted(edges, u, side="right") with u = (raw >> 11) * 2**-53.
 
-    The indexed search of Chen & Asau (AIIE Trans. 6, 1974) for sorted
-    edges and uniforms u in [0, 1).  M = 2**min(20, 6 + bit_length(slots))
-    buckets of width 1/M, with M a power of two, so u*M and its floor b
-    are exact and the answer lies in [guide[b], guide[b + 1]]
-    (guide[b] = searchsorted(edges, b/M, "right")).  Where those two are
-    equal guide[b] is the answer; a crowded bucket, where an edge falls,
-    holds -1 instead, and only its uniforms (at most one bucket per edge,
-    so at most ~1/64 of them) fall back to searchsorted.  pick(u)
-    overwrites u and returns the indices in the array that held the
-    floors b: 17 B per uniform counting u (u, b and a bool mask).
+    u is the uniform Generator.random makes of each raw 64-bit output.  The indexed
+    search of Chen & Asau (AIIE Trans. 6, 1974) for sorted edges: m = 2**k buckets of
+    width 1/m, k = min(20, 6 + bit_length(slots)), so u's bucket floor(u*m) is exactly
+    raw >> (64 - k), and the answer lies in [guide[b], guide[b + 1]]
+    (guide[b] = searchsorted(edges, b/m, "right")).  Where those two are equal guide[b]
+    is the answer; a crowded bucket, where an edge falls, holds -1 instead, and only its
+    draws (at most one bucket per edge, so at most ~1/64 of them) rebuild u*m from
+    raw >> 11 for a searchsorted.  pick(raw) returns the indices, as int64, in the array
+    that held the buckets: 17 B per draw counting raw (raw, b and a bool mask).
     """
-    m = 1 << min(20, 6 + len(edges).bit_length())
+    k = min(20, 6 + len(edges).bit_length())
+    m = 1 << k
     scaled = edges * m  # exact, so searching u*m in it is searching u in edges
     guide = np.searchsorted(scaled, np.arange(m + 1), side="right")
     guide = np.where(guide[1:] == guide[:-1], guide[:-1], -1)
 
-    def pick(u):
-        u *= m
-        b = u.astype(np.intp)  # floor: u*m lies in [0, m)
+    def pick(raw):
+        b = np.right_shift(raw, 64 - k).view(np.int64)
         # take reads index i before it writes element i, so b can be its own output;
         # "clip" never clips here and, unlike "raise", writes out unbuffered
         np.take(guide, b, out=b, mode="clip")
         slow = np.flatnonzero(b < 0)
-        b[slow] = np.searchsorted(scaled, u[slow], side="right")
+        # (raw >> 11) < 2**53 converts exactly, and times 2**(k - 53) it is u*m
+        b[slow] = np.searchsorted(scaled, (raw[slow] >> 11) * 2.0 ** (k - 53), side="right")
         return b
 
     return pick
@@ -322,39 +327,52 @@ def _count_table(rate: float) -> tuple:
 
 
 def _count_stream(rate: float, seed: int):
-    """draw(n): the next n jump counts at this total rate from the key's own stream.
+    """draw(n, start=None): n jump counts at this total rate from the key's own stream.
 
-    Each count is one uniform of Philox(key=seed), inverted on _count_table(rate) by
-    _bucketed_pick; a zero rate draws no uniforms.  A rate past the cap raises ValueError
-    before anything is drawn.
+    The count at position i of the stream is raw output i of Philox(key=seed), inverted
+    on _count_table(rate) by _bucketed_pick.  draw(n) reads the n positions after the last
+    draw's (from 0 on), and draw(n, start) the n from `start` on: Philox is counter-based,
+    so a cursor moved to `start` is a fresh generator advanced by start // 4 blocks of
+    four outputs, less start % 4 outputs read and dropped.  A draw at the cursor's own
+    position moves nothing.  A zero rate reads no output.  A rate past the cap raises
+    ValueError before anything is drawn.
     """
     if rate == 0.0:
-        return lambda n: np.zeros(n, dtype=np.int64)
+        return lambda n, start=None: np.zeros(n, dtype=np.int64)
     k_lo, cdf = _count_table(rate)
     pick_count = _bucketed_pick(cdf)
-    counts = np.random.Generator(np.random.Philox(key=int(seed)))
+    bits, pos = np.random.Philox(key=int(seed)), 0
 
-    def draw(n):
-        nj = pick_count(counts.random(n))
+    def draw(n, start=None):
+        nonlocal bits, pos
+        if start is not None and start != pos:
+            bits = np.random.Philox(key=int(seed)).advance(start // 4)
+            bits.random_raw(start % 4)
+            pos = start
+        nj = pick_count(bits.random_raw(n))
         nj += k_lo
+        pos += n
         return nj
 
     return draw
 
 
-def _cumulative_counts(rate: float, rows: int, cols: int, seed: int):
-    """Yield one int64 array of `cols` running jump counts after each of `rows` rows.
+def _cumulative_counts(rate: float, rows: int, cols: int, seed: int, lo: int, hi: int,
+                       width: int):
+    """Yield one int64 array of the running jump counts of samples lo <= i < hi after each
+    of `rows` rows of `cols` samples.
 
-    The counts are _sample_rows' counts of any law at this total rate, drawn block by
-    block into the running sum; the array yielded is the same one every time, so a
+    Sample i of row n takes the count at position n * cols + i of the count stream, as in
+    _sample_rows at this total rate, so any range of samples is drawn on its own: `width`
+    at a time, into the running sum.  The array yielded is the same one every time, so a
     caller reads it before it asks for the next row.
     """
-    total = np.zeros(cols, dtype=np.int64)
+    total = np.zeros(hi - lo, dtype=np.int64)
     draw_counts = _count_stream(rate, seed)
-    for _ in range(rows):
-        for s in range(0, cols, _BLOCK):
-            part = total[s:s + _BLOCK]
-            part += draw_counts(len(part))
+    for n in range(rows):
+        for s in range(0, hi - lo, width):
+            part = total[s:s + width]
+            part += draw_counts(len(part), n * cols + lo + s)
         yield total
 
 
@@ -379,7 +397,8 @@ def _sample_rows(gen, rows: int, cols: int, seed: int):
     rate = float(cum[-1]) if rates else 0.0  # the total jump rate
     draw_counts = _count_stream(rate, seed)  # refuses a rate past the cap first
     base = np.random.Philox(key=int(seed))
-    jump_rng, tail_rng, normals = (np.random.Generator(base.jumped(j)) for j in (1, 2, 3))
+    jump_bits = base.jumped(1)
+    tail_rng, normals = (np.random.Generator(base.jumped(j)) for j in (2, 3))
     table = [x for x, _ in g.atoms]
     tail = g.tail
     if tail is not None:
@@ -419,7 +438,7 @@ def _sample_rows(gen, rows: int, cols: int, seed: int):
                 if tail_only:
                     sizes = tail_sizes(jumps)
                 else:
-                    sizes = np.take(table, pick(jump_rng.random(jumps)))
+                    sizes = np.take(table, pick(jump_bits.random_raw(jumps)))
                     if tail is not None:
                         sel = np.isnan(sizes)
                         sizes[sel] = tail_sizes(int(sel.sum()))

@@ -80,7 +80,8 @@ def _weights(series: DeltaSeries) -> np.ndarray:
     # dividing by the power of two at or below the floor is exact and keeps 1/se**2 in
     # range at any scale; it scales every weight by one power of two, which no fit sees
     unit = math.ldexp(1.0, math.frexp(floor)[1] - 1)
-    return 1.0 / (np.maximum(se, floor) / unit) ** 2
+    with np.errstate(over="ignore"):  # an se ~2**512 times the floor gets weight 0
+        return 1.0 / (np.maximum(se, floor) / unit) ** 2
 
 
 def _ls_fit(q, m: np.ndarray, d: np.ndarray, w: np.ndarray) -> tuple:
@@ -93,9 +94,11 @@ def _ls_fit(q, m: np.ndarray, d: np.ndarray, w: np.ndarray) -> tuple:
     sw, sx, sxx = w.sum(), x @ w, (x * x) @ w
     sy, sxy = w @ d, x @ (w * d)
     den = sw * sxx - sx * sx
-    amp = (sw * sxy - sx * sy) / den
-    dinf = (sy - amp * sx) / sw
-    with np.errstate(over="ignore"):  # an overflowing SSE ranks above every finite one
+    # a singular q (den = 0) divides by zero, and its SSE is set to inf below; an
+    # overflowing SSE ranks above every finite one
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        amp = (sw * sxy - sx * sy) / den
+        dinf = (sy - amp * sx) / sw
         sse = ((d - dinf[..., None] - amp[..., None] * x) ** 2) @ w
     return np.where(den > 0, sse, np.inf), dinf, amp
 
@@ -142,7 +145,11 @@ def fit_a1(series: DeltaSeries) -> A1Fit:
 
         try:
             bracket = (best - 1, best, best + 1)
-            u_hat = optimize.minimize_scalar(sse, bracket=bracket, method="brent", tol=1e-15).x
+            # a singular q's SSE is inf, which makes Brent's parabolic step NaN; Brent then
+            # takes a golden-section step instead
+            with np.errstate(invalid="ignore"):
+                u_hat = optimize.minimize_scalar(sse, bracket=bracket, method="brent",
+                                                 tol=1e-15).x
         except ValueError:  # SSE flat to rounding across the bracket: keep the node
             pass
     q_hat = math.exp(ln_lo + u_hat * step)

@@ -5,8 +5,9 @@ import pytest
 
 @pytest.fixture(autouse=True)
 def no_thread_left_behind():
-    """Fail a test that ends with more threads running than it started with: simulate's
-    worker, the one thread the library starts, is joined before simulate returns or raises."""
+    """Fail a test that ends with more threads running than it started with: the library
+    starts threads only in simulate, at most one worker per call (the sample path's cell
+    worker, or the split count path's second drawer), joined before it returns or raises."""
     threads = threading.active_count()
     yield
     assert threading.active_count() <= threads, threading.enumerate()

@@ -31,6 +31,7 @@ from hscascade.cascade import (
 from hscascade.exponents import CascadeParams, ScalingLaw, conservation_gamma, delta, zeta
 from hscascade.generators import (
     LevyGenerator,
+    LogPoissonParams,
     StableTail,
     as_levy,
     logpoisson_from_scaling,
@@ -137,6 +138,13 @@ def reduceat_sums(ns):
     jackknife groups of ns samples."""
     starts = np.arange(cascade._GROUPS) * ns // cascade._GROUPS
     return lambda e: (e.sum(), np.add.reduceat(e, starts))
+
+
+def count_histogram(counts):
+    """cascade._count_histogram of the counts of one level, each group's np.bincount taken
+    over its slice."""
+    cuts = np.arange(cascade._GROUPS + 1) * len(counts) // cascade._GROUPS
+    return cascade._count_histogram([np.bincount(counts[a:b]) for a, b in zip(cuts, cuts[1:])])
 
 
 def histogram_sums(hist):
@@ -280,7 +288,7 @@ class TestJackknife:
         # (group, count) against the sample path's over the samples z[counts]
         ns = len(counts)
         z = a + x * np.arange(counts.max() + 1)
-        j, hist = cascade._count_histogram(counts)
+        j, hist = count_histogram(counts)
         ln_s, reps = _level_cells(p_list, z[j], ns, histogram_sums(hist))
         want_ln_s, want_reps = _level_cells(p_list, z[counts], ns, reduceat_sums(ns),
                                             out=np.empty(ns))
@@ -290,6 +298,26 @@ class TestJackknife:
         assert (np.abs(ln_s - want_ln_s) <= 1e-13 * np.maximum(1.0, np.abs(want_ln_s))).all()
         d = replicate_tolerance(want_ln_s, want_reps, ns)
         assert (np.abs(reps - want_reps) <= d[:, None]).all()
+
+
+@st.composite
+def count_path_laws(draw):
+    """Laws whose cells simulate takes from count histograms: LogPoissonParams or one atom
+    below rate 2, and a drift alone."""
+    drift = draw(st.floats(-0.5, 0.5))
+    if draw(st.integers(0, 9)) == 0:
+        return LevyGenerator(drift=drift)
+    x = draw(st.floats(-1.0, -0.01) | st.floats(0.01, 0.3))
+    rate = draw(st.floats(1e-3, 2.0, exclude_max=True))
+    if x < 0 and draw(st.booleans()):
+        return LogPoissonParams(a=drift, b=x, lam=rate)
+    return LevyGenerator(drift=drift, atoms=((x, rate),))
+
+
+# the count path below and at the split size, and the sample path, whose worker runs cells
+THREAD_CASES = [(SL_LP, 40_000), (SL_LP, 2 * gens_module._BLOCK),
+                (LevyGenerator(drift=SL_LP.a, sigma2=0.2, atoms=((SL_LP.b, SL_LP.lam),)), 40_000)]
+THREAD_IDS = ["count path", "split count path", "sample path"]
 
 
 class TestPipeline:
@@ -317,20 +345,33 @@ class TestPipeline:
             table = simulate(cfg, gen)
         assert_table_matches(table, reference, gen)
 
+    @settings(max_examples=40, deadline=None)
+    @given(gen=count_path_laws(), n_levels=st.integers(2, 4), n_samples=st.integers(100, 3000),
+           block=st.sampled_from(SMALL_BLOCKS), seed=st.integers(0, 2**128 - 1))
+    def test_split_count_path_matches_unsplit(self, gen, n_levels, n_samples, block, seed):
+        # with _BLOCK cut down, every size splits each level at its middle group cut
+        cfg = SimConfig(params=CascadeParams(r=0.5, k=3), n_levels=n_levels,
+                        n_samples=n_samples, seed=seed)
+        unsplit = simulate(cfg, gen)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gens_module, "_BLOCK", block)
+            split = simulate(cfg, gen)
+        assert split.ln_s.tobytes() == unsplit.ln_s.tobytes()
+        assert split.cov.tobytes() == unsplit.cov.tobytes()
+
     def test_matches_reference_across_a_block(self):
         cfg = SimConfig(params=CascadeParams(r=0.5, k=3), n_levels=2,
                         n_samples=gens_module._BLOCK + 1, seed=5)
         gen = LevyGenerator(drift=0.1, sigma2=0.2, atoms=((-0.3, 1.0), (0.1, 0.4)))
         assert_same_table(simulate(cfg, gen), reference_simulate(cfg, gen, reference_sample_logW))
 
-    @pytest.mark.parametrize("gen", [
-        SL_LP, LevyGenerator(drift=SL_LP.a, sigma2=0.2, atoms=((SL_LP.b, SL_LP.lam),)),
-    ], ids=["count path", "sample path"])
-    def test_matches_reference_under_fast_thread_switching(self, gen):
-        # the worker reads the levels this thread draws; a switch every microsecond would
-        # expose any write to an array another thread still reads, and any draw that depends
-        # on timing
-        cfg = SimConfig(params=CascadeParams(r=0.5, k=3), n_levels=6, n_samples=40_000, seed=0)
+    @pytest.mark.parametrize("gen, ns", THREAD_CASES, ids=THREAD_IDS)
+    def test_matches_reference_under_fast_thread_switching(self, gen, ns):
+        # the sample path's worker reads the levels this thread draws, and the split count
+        # path's draws half of every level beside this thread; a switch every microsecond
+        # would expose any write to an array another thread still reads, and any draw that
+        # depends on timing
+        cfg = SimConfig(params=CascadeParams(r=0.5, k=3), n_levels=6, n_samples=ns, seed=0)
         reference = reference_simulate(cfg, gen)
         first = simulate(cfg, gen)
         interval = sys.getswitchinterval()
@@ -344,10 +385,8 @@ class TestPipeline:
             assert table.ln_s.tobytes() == first.ln_s.tobytes()
             assert table.cov.tobytes() == first.cov.tobytes()
 
-    @pytest.mark.parametrize("gen", [
-        SL_LP, LevyGenerator(drift=SL_LP.a, sigma2=0.2, atoms=((SL_LP.b, SL_LP.lam),)),
-    ], ids=["count path", "sample path"])
-    def test_cell_error_is_raised_and_the_threads_end(self, monkeypatch, gen):
+    @pytest.mark.parametrize("gen, ns", THREAD_CASES, ids=THREAD_IDS)
+    def test_cell_error_is_raised_and_the_threads_end(self, monkeypatch, gen, ns):
         # the count path runs its cells on this thread, the sample path on the worker
         calls = []
 
@@ -358,18 +397,37 @@ class TestPipeline:
             return _level_cells(*args)
 
         monkeypatch.setattr(cascade, "_level_cells", third_call_fails)
-        cfg = SimConfig(params=CascadeParams(r=0.5, k=3), n_levels=6, n_samples=40_000, seed=0)
+        cfg = SimConfig(params=CascadeParams(r=0.5, k=3), n_levels=6, n_samples=ns, seed=0)
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match="third cell"):
             simulate(cfg, gen)
         assert threading.active_count() == threads
 
-    @pytest.mark.parametrize("gen, workers", [
-        (SL_LP, 0), (LevyGenerator(drift=SL_LP.a, sigma2=0.2, atoms=((SL_LP.b, SL_LP.lam),)), 1),
-    ], ids=["count path", "sample path"])
-    def test_threads_started(self, thread_starts, gen, workers):
-        # the count path runs on this thread; the sample path starts its one worker
-        cfg = SimConfig(params=CascadeParams(r=0.5, k=3), n_levels=3, n_samples=40_000, seed=0)
+    @pytest.mark.parametrize("half", ["lower", "upper"])
+    def test_count_error_in_either_half_is_raised_and_the_thread_ends(self, monkeypatch, half):
+        # the split count path draws the upper half of the groups on its worker
+        def fails_in_one_half(rate, rows, cols, seed, lo, hi, width):
+            if (lo == 0) == (half == "lower"):
+                raise RuntimeError(f"{half} half")
+            return cumulative_counts(rate, rows, cols, seed, lo, hi, width)
+
+        cumulative_counts = cascade._cumulative_counts
+        monkeypatch.setattr(cascade, "_cumulative_counts", fails_in_one_half)
+        monkeypatch.setattr(gens_module, "_BLOCK", 64)
+        cfg = SimConfig(params=CascadeParams(r=0.5, k=3), n_levels=3, n_samples=1000, seed=0)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"{half} half"):
+            simulate(cfg, SL_LP)
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("gen, ns, workers", [
+        (SL_LP, 40_000, 0), (SL_LP, 2 * gens_module._BLOCK, 1),
+        (LevyGenerator(drift=SL_LP.a, sigma2=0.2, atoms=((SL_LP.b, SL_LP.lam),)), 40_000, 1),
+    ], ids=["count path", "split count path", "sample path"])
+    def test_threads_started(self, thread_starts, gen, ns, workers):
+        # the count path runs on this thread below 2 * _BLOCK samples and starts one worker
+        # from there up; the sample path starts its one worker
+        cfg = SimConfig(params=CascadeParams(r=0.5, k=3), n_levels=3, n_samples=ns, seed=0)
         simulate(cfg, gen)
         assert len(thread_starts) == workers
 
@@ -410,7 +468,7 @@ class TestCountPath:
             np.arange(cascade._GROUPS + 1) * ns // cascade._GROUPS))
         want = np.zeros((cascade._GROUPS, 41))
         np.add.at(want, (groups, counts), 1.0)
-        j, hist = cascade._count_histogram(counts)
+        j, hist = count_histogram(counts)
         assert j.tolist() == np.flatnonzero(want.any(axis=0)).tolist()
         assert hist.tobytes() == want[:, j].tobytes()
 
@@ -453,13 +511,17 @@ class TestMemory:
         peak = self.traced_peak(lambda: simulate(cfg, SL_LP))
         assert peak <= 4 * 8 * 8 * 125_000
 
-    @pytest.mark.parametrize("gen", [SL_LP, normalize_mean_one(SL_LP)], ids=["canonical", "mean one"])
-    def test_simulate_from_counts(self, gen):
-        # the running counts, one block of counts and its two halves' draws, and the tiny
-        # count histograms: 3.10-3.18 x at 8 and 16 levels (5.82 x summing over the samples)
-        cfg = SimConfig(params=CascadeParams(r=0.5, k=3), n_levels=8, n_samples=125_000, seed=0)
+    @pytest.mark.parametrize("gen, ns", [
+        (SL_LP, 125_000), (normalize_mean_one(SL_LP), 125_000),
+        (SL_LP, 2 * gens_module._BLOCK), (normalize_mean_one(SL_LP), 2 * gens_module._BLOCK),
+    ], ids=["canonical", "mean one", "canonical split", "mean one split"])
+    def test_simulate_from_counts(self, gen, ns):
+        # the running counts, one block's raw draws and their picks, shared by the two
+        # halves of a split, and the tiny count histograms: 3.10-3.18 x at 8 and 16 levels
+        # unsplit (5.82 x summing over the samples)
+        cfg = SimConfig(params=CascadeParams(r=0.5, k=3), n_levels=8, n_samples=ns, seed=0)
         peak = self.traced_peak(lambda: simulate(cfg, gen))
-        assert peak <= 4 * 8 * 125_000
+        assert peak <= 4 * 8 * ns
 
     def test_simulate_independent_of_levels(self):
         # the pipelined simulate keeps a few levels, not all 16: at most 10 x (8 B x n_samples)

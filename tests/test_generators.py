@@ -729,6 +729,32 @@ class TestCountStream:
         got = np.concatenate([draw(n) for n in sizes])
         assert got.tobytes() == _count_stream(rate, seed)(sum(sizes)).tobytes()
 
+    @pytest.mark.parametrize("start", [*range(9), _BLOCK - 1, _BLOCK, _BLOCK + 1, _BLOCK + 2,
+                                       2 * _BLOCK + 3])
+    def test_positioned_draw_is_one_draw_at_that_position(self, start):
+        # every start % 4 within Philox's block of four outputs, and at _BLOCK boundaries;
+        # the draw after a positioned one goes on from where it ended
+        for seed in (0, 2**128 - 1):
+            for rate in (SL_LP.lam, 9.9):
+                whole = _count_stream(rate, seed)(start + 1005)
+                draw = _count_stream(rate, seed)
+                got = np.concatenate([draw(1000, start), draw(5)])
+                assert got.tobytes() == whole[start:].tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(rate=st.sampled_from(STREAM_RATES) | st.floats(0.0, 20.0, exclude_min=True),
+           draws=st.lists(st.tuples(st.integers(0, 300), st.none() | st.integers(0, 3000)),
+                          min_size=1, max_size=6),
+           seed=st.integers(0, 2**128 - 1))
+    def test_positioned_draws_are_slices_of_one_draw(self, rate, draws, seed):
+        # a cursor moved back, forward or not at all reads the positions it is moved to
+        whole = _count_stream(rate, seed)(3000 + 6 * 300)
+        draw, pos = _count_stream(rate, seed), 0
+        for n, start in draws:
+            pos = pos if start is None else start
+            assert draw(n, start).tobytes() == whole[pos:pos + n].tobytes()
+            pos += n
+
     @pytest.mark.parametrize("rate", STREAM_RATES)
     def test_one_uniform_per_count(self, rate):
         # the i-th count of the stream inverts its i-th uniform, across two draws
@@ -989,23 +1015,29 @@ def guide_buckets(edges) -> int:
     return 1 << min(20, 6 + len(edges).bit_length())
 
 
-def awkward_uniforms(edges, rng, n_random=2000):
-    """u in [0, 1) at bucket and edge boundaries and one ulp either side, plus random u."""
+def awkward_raws(edges, rng, n_random=2000):
+    """Raw outputs whose uniforms (raw >> 11) * 2**-53 lie at bucket and edge boundaries on
+    the 2**-53 grid and one step either side, with random values in the 11 bits the uniform
+    drops, plus random raws."""
     m = guide_buckets(edges)
-    grid = rng.integers(0, m, size=200) / m
-    points = np.concatenate([grid, edges[edges < 1.0], [0.0, 1.0 - 2.0**-53]])
-    u = np.concatenate([points, np.nextafter(points, 1.0), np.nextafter(points, -1.0),
-                        rng.random(n_random)])
-    return u[(u >= 0.0) & (u < 1.0)]
+    scaled = edges[edges < 1.0] * 2.0**53  # exact: the edges on the 2**-53 grid
+    grid = np.concatenate([rng.integers(0, m, size=200) * (2**53 // m), np.floor(scaled),
+                           np.ceil(scaled), [0, 2**53 - 1]]).astype(np.int64)
+    grid = np.concatenate([grid - 1, grid, grid + 1])
+    grid = grid[(grid >= 0) & (grid < 2**53)].astype(np.uint64)
+    raw = (grid << 11) | rng.integers(0, 1 << 11, size=len(grid), dtype=np.uint64)
+    return np.concatenate([raw, rng.integers(0, 2**64 - 1, size=n_random, dtype=np.uint64,
+                                             endpoint=True)])
 
 
 class TestBucketedPick:
-    """_bucketed_pick(edges)(u) is np.searchsorted(edges, u, side="right") index for index."""
+    """_bucketed_pick(edges)(raw) is np.searchsorted(edges, (raw >> 11) * 2**-53, "right")
+    index for index."""
 
     @staticmethod
-    def check(edges, u):
-        got = _bucketed_pick(edges)(u.copy())
-        assert got.tolist() == np.searchsorted(edges, u, side="right").tolist()
+    def check(edges, raw):
+        got = _bucketed_pick(edges)(raw.copy())
+        assert got.tolist() == np.searchsorted(edges, (raw >> 11) * 2.0**-53, "right").tolist()
 
     @settings(max_examples=80, deadline=None)
     @given(slots=st.integers(1, 5000), alpha=st.floats(1e-3, 10.0), repeats=st.integers(1, 4),
@@ -1016,7 +1048,7 @@ class TestBucketedPick:
         rng = np.random.default_rng(seed)
         cum = np.cumsum(np.repeat(rng.dirichlet(np.full(slots, alpha)), repeats))
         edges = cum / cum[-1]  # as _sample_rows forms them: the last edge is exactly 1.0
-        self.check(edges, awkward_uniforms(edges, rng))
+        self.check(edges, awkward_raws(edges, rng))
 
     def test_bucket_count_capped(self):
         # more than 2**14 slots would ask for more than 2**20 buckets
@@ -1024,13 +1056,22 @@ class TestBucketedPick:
         cum = np.cumsum(rng.dirichlet(np.full(20_000, 0.05)))
         edges = cum / cum[-1]
         assert guide_buckets(edges) == 2**20
-        self.check(edges, awkward_uniforms(edges, rng, n_random=200_000))
+        self.check(edges, awkward_raws(edges, rng, n_random=200_000))
 
     @pytest.mark.parametrize("edges", [[1.0], [0.5, 0.5, 1.0], [0.0, 0.25, 1.0, 1.0],
                                        [2.0**-53, 0.5 - 2.0**-54, 0.5, 1.0]])
     def test_small_tables(self, edges):
         edges = np.array(edges)
-        self.check(edges, awkward_uniforms(edges, np.random.default_rng(0)))
+        self.check(edges, awkward_raws(edges, np.random.default_rng(0)))
 
     def test_empty_draw(self):
-        assert _bucketed_pick(np.array([0.5, 1.0]))(np.empty(0)).size == 0
+        assert _bucketed_pick(np.array([0.5, 1.0]))(np.empty(0, dtype=np.uint64)).size == 0
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**128 - 1])
+    def test_philox_uniforms_are_raw_outputs(self, seed):
+        # the identity the pick rests on: Generator.random(n) reads one raw output per
+        # uniform and keeps its top 53 bits, on the key's stream and on a jumped one
+        for stream in (lambda: np.random.Philox(key=seed),
+                       lambda: np.random.Philox(key=seed).jumped(1)):
+            u = np.random.Generator(stream()).random(1003)
+            assert u.tobytes() == ((stream().random_raw(1003) >> 11) * 2.0**-53).tobytes()

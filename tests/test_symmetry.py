@@ -128,6 +128,22 @@ class TestFitA1:
         assert report.verdict == "a1-holds"
         assert report.beta_hat == pytest.approx(2.0 / 3.0, abs=1e-8)
 
+    @pytest.mark.parametrize("delta, se", [
+        ((1.0, 0.8, 0.7, 0.65, 0.62, 0.61), (0.0625, 5e-324, 0.0625, 0.0625, 0.0625, 0.0625)),
+        ((1.0, 0.8, 0.7, 0.65, 0.62, 0.61), (0.0625, 1e-116, 0.0625, 0.0625, 0.0625, 0.0625)),
+        ((-7.590610957031459e-14, 0.49410211256132397, 1e-10, -7.940039222166551e-14,
+          8.817959763270388e-163, -0.9190041555475827, -1.4212239599779202),
+         (0.04393008137924731, 0.0059608867309374446, 0.09038855064221968, 1e-06,
+          0.030498131611146125, 0.010675626320691481, 1.540746208112049e-134)),
+    ], ids=["weight overflows", "singular q", "singular q inside Brent's bracket"])
+    def test_errors_spanning_many_decades_warn_nothing(self, delta, se):
+        # pytest turns warnings into errors here: beside 5e-324 the other weights overflow
+        # 1/se**2's square and become 0; beside 1e-116 the normal equations are singular
+        # at some q, whose SSE is inf, and beside 1.5e-134 at a q Brent's refinement visits
+        series = DeltaSeries(k=3, m=range(len(delta)), delta=delta, stderr=se)
+        assert math.isfinite(fit_a1(series).epsilon_hat)
+        assert classify(series).verdict == "other"
+
 
 class TestClassify:
     def test_log_poisson(self):
