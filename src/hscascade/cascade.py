@@ -119,9 +119,8 @@ def _check_table(table, *levels) -> None:
 
 
 def _write_table(path, table, header, rows) -> None:
-    """write_csv with the table's covariance, when it has one, under "cov" in the JSON line."""
-    meta = table.metadata if table.cov is None else {**table.metadata, "cov": table.cov.tolist()}
-    write_csv(path, meta, header, rows)
+    """write_csv with the table's covariance under "cov" in the JSON line."""
+    write_csv(path, {**table.metadata, "cov": table.cov.tolist()}, header, rows)
 
 
 def _read_table(path, header, cell=float) -> tuple:
@@ -564,5 +563,4 @@ def estimate_deltas(zeta: ZetaEstimate, k: int) -> DeltaSeries:
         dvd = np.diff(np.diff(zeta.cov[np.ix_(rows, rows)], axis=0), axis=1)
         # rounding can leave a variance a few ulps below zero
         stderr = np.sqrt(np.maximum(np.diagonal(dvd), 0.0))
-    return DeltaSeries(k=k, m=range(len(rows) - 1), delta=np.diff(zeta.zeta_hat[rows]),
-                       stderr=stderr)
+    return DeltaSeries(k=k, delta=np.diff(zeta.zeta_hat[rows]), stderr=stderr)

@@ -9,6 +9,8 @@ the linear contraction
 
     delta_{p+k} = (1 - beta)*delta_inf + beta*delta_p.
 
+A delta series is delta_0, delta_k, ..., delta_{Mk}, indexed m = 0..M.
+
 Everything in this module is deterministic, side-effect free, and safe
 to call concurrently.
 """
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,27 +126,19 @@ class ScalingLaw:
 
 @dataclass(frozen=True)
 class DeltaSeries:
-    """Incremental exponents delta_{m*k} for m = 0, 1, 2, ...
+    """Incremental exponents delta_{m*k}, m = 0..M: entry m of ``delta`` is delta_{m*k}.
 
     ``stderr`` carries optional per-entry standard errors for fits on
     noisy (Monte Carlo or measured) data.
     """
 
     k: int
-    m: tuple = field(default=())
-    delta: tuple = field(default=())
+    delta: tuple
     stderr: tuple | None = None
 
     def __post_init__(self):
         k = _check_k(self.k)
-        m = tuple(int(v) for v in self.m)
         d = tuple(float(v) for v in self.delta)
-        if len(m) != len(d):
-            raise ValueError("m and delta must have the same length")
-        if m and m[0] != 0:
-            raise ValueError("m values must start at 0")
-        if any(b <= a for a, b in zip(m, m[1:])):
-            raise ValueError("m values must be strictly increasing")
         if not all(math.isfinite(v) for v in d):
             raise ValueError("delta entries must be finite")
         se = self.stderr
@@ -155,12 +149,11 @@ class DeltaSeries:
             if not all(0.0 <= v < math.inf for v in se):
                 raise ValueError(f"stderr entries must be finite and >= 0, got {se}")
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "m", m)
         object.__setattr__(self, "delta", d)
         object.__setattr__(self, "stderr", se)
 
     def __len__(self) -> int:
-        return len(self.m)
+        return len(self.delta)
 
 
 def zeta(law: ScalingLaw, p):
@@ -181,15 +174,13 @@ def a1_step(delta_p: float, beta: float, delta_inf: float) -> float:
     return (1.0 - beta) * delta_inf + beta * delta_p
 
 
-def recurrence_residual(m, delta, beta: float, delta_inf: float) -> float:
-    """sup over consecutive orders (m, m+1) of |delta_{m+1} - (1-beta)*delta_inf - beta*delta_m|.
+def recurrence_residual(delta, beta: float, delta_inf: float) -> float:
+    """sup over m of |delta_{m+1} - (1-beta)*delta_inf - beta*delta_m|, delta = delta_0..delta_M.
 
-    m is strictly increasing; pairs across a gap in m are skipped, and a
-    series without any consecutive pair has residual 0.
+    A series of fewer than two entries has residual 0.
     """
     d = np.asarray(delta, dtype=float)
-    pair = np.diff(np.asarray(m)) == 1
-    resid = d[1:][pair] - (1.0 - beta) * delta_inf - beta * d[:-1][pair]
+    resid = d[1:] - (1.0 - beta) * delta_inf - beta * d[:-1]
     return float(np.abs(resid).max(initial=0.0))
 
 

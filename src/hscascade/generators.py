@@ -213,7 +213,7 @@ def _analytic_deltas(gen, r: float, k: int, m_max: int) -> np.ndarray:
 def delta_series_analytic(gen, r: float, k: int, m_max: int) -> DeltaSeries:
     """Incremental exponents delta_{m*k} = (psi(mk+k) - psi(mk)) / ln r, m = 0..m_max."""
     deltas = _analytic_deltas(gen, r, k, m_max)
-    return DeltaSeries(k=k, m=tuple(range(m_max + 1)), delta=tuple(deltas))
+    return DeltaSeries(k=k, delta=tuple(deltas))
 
 
 def sample_logW(gen, count: int, seed: int) -> np.ndarray:
@@ -332,21 +332,23 @@ def _count_stream(rate: float, seed: int):
     The count at position i of the stream is raw output i of Philox(key=seed), inverted
     on _count_table(rate) by _bucketed_pick.  draw(n) reads the n positions after the last
     draw's (from 0 on), and draw(n, start) the n from `start` on: Philox is counter-based,
-    so a cursor moved to `start` is a fresh generator advanced by start // 4 blocks of
-    four outputs, less start % 4 outputs read and dropped.  A draw at the cursor's own
-    position moves nothing.  A zero rate reads no output.  A rate past the cap raises
-    ValueError before anything is drawn.
+    so the cursor's one generator moves to `start` by a reset to its initial state, an
+    advance by start // 4 blocks of four outputs and start % 4 outputs read and dropped.
+    A draw at the cursor's own position moves nothing.  A zero rate reads no output.  A
+    rate past the cap raises ValueError before anything is drawn.
     """
     if rate == 0.0:
         return lambda n, start=None: np.zeros(n, dtype=np.int64)
     k_lo, cdf = _count_table(rate)
     pick_count = _bucketed_pick(cdf)
     bits, pos = np.random.Philox(key=int(seed)), 0
+    initial = bits.state
 
     def draw(n, start=None):
-        nonlocal bits, pos
+        nonlocal pos
         if start is not None and start != pos:
-            bits = np.random.Philox(key=int(seed)).advance(start // 4)
+            bits.state = initial
+            bits.advance(start // 4)
             bits.random_raw(start % 4)
             pos = start
         nj = pick_count(bits.random_raw(n))

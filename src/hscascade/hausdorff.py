@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .exponents import _check_beta, _check_ratio, recurrence_residual
+from .exponents import _check_beta, _check_k, _check_ratio, recurrence_residual
 from .generators import (
     LevyGenerator,
     LogPoissonParams,
@@ -44,6 +44,7 @@ __all__ = [
 
 _TAIL_NODES = 512
 _M_MAX = 40  # epsilon is the sup of the recurrence residual over m = 0.._M_MAX
+_SMEAR_ATOMS = 33  # atoms of smear_perturbation's uniform smear
 
 
 @dataclass(frozen=True)
@@ -59,8 +60,10 @@ class UnitMeasure:
         w = np.asarray(self.w, dtype=float)
         if u.shape != w.shape or u.ndim != 1:
             raise ValueError("u and w must be 1-d arrays of equal length")
-        if len(u) and (u.min() < 0.0 or u.max() > 1.0):
+        if not np.all((u >= 0.0) & (u <= 1.0)):  # a nan location fails both comparisons
             raise ValueError("atom locations must lie in [0,1]")
+        if not np.isfinite(w).all():
+            raise ValueError("atom weights must be finite")
         if np.any(w == 0.0):
             raise ValueError("atom weights must be nonzero")
         if self.kind not in ("positive", "signed"):
@@ -108,6 +111,7 @@ def pushforward_to_unit(gen, k: int) -> UnitMeasure:
     Parametric tails are discretized on a geometric grid with exact
     per-cell masses placed at the log-midpoint.
     """
+    k = _check_k(k)
     g = as_levy(gen)
     if g.sigma2 > 0:
         raise ValueError("outside the negative-jump regime: generator has sigma2 > 0")
@@ -193,7 +197,7 @@ def stability_constant(beta: float, r: float, A: float) -> float:
 def _reference(ref: LogPoissonParams, k: int) -> tuple:
     """(beta, A) = (e**(b*k), lam*(beta - 1)): the jump location on (0,1) of a log-Poisson
     reference at step k, and its mass constant."""
-    beta = math.exp(ref.b * k)
+    beta = math.exp(ref.b * _check_k(k))
     return beta, ref.lam * (beta - 1.0)
 
 
@@ -210,7 +214,7 @@ def a1_residual_vs_reference(gen, ref: LogPoissonParams, r: float, k: int, m_max
     beta, _ = _reference(ref, k)
     delta_inf = ref.a * k / math.log(r)
     deltas = _analytic_deltas(gen, r, k, m_max + 1)
-    return recurrence_residual(np.arange(m_max + 2), deltas, beta, delta_inf)
+    return recurrence_residual(deltas, beta, delta_inf)
 
 
 def verify_stability(
@@ -308,16 +312,14 @@ def leak_perturbation(ref: LogPoissonParams, k: int, u2: float, theta: float) ->
     return LevyGenerator(drift=ref.a, atoms=atoms)
 
 
-def smear_perturbation(
-    ref: LogPoissonParams, k: int, width: float, n_atoms: int = 33
-) -> LevyGenerator:
-    """Replace the jump atom by a uniform smear of the given width, A matched."""
+def smear_perturbation(ref: LogPoissonParams, k: int, width: float) -> LevyGenerator:
+    """Replace the jump atom by _SMEAR_ATOMS atoms spread evenly over `width`, A matched."""
     beta, A = _reference(ref, k)
     half = width / 2.0
     if not (0.0 < half < min(beta, 1.0 - beta)):
         raise ValueError(f"smear width {width} leaves the unit interval around beta")
-    us = np.linspace(beta - half, beta + half, n_atoms)
-    weights = np.full(n_atoms, A / (us - 1.0).sum())
+    us = np.linspace(beta - half, beta + half, _SMEAR_ATOMS)
+    weights = np.full(_SMEAR_ATOMS, A / (us - 1.0).sum())
     atoms = tuple((math.log(u) / k, w) for u, w in zip(us, weights))
     return LevyGenerator(drift=ref.a, atoms=atoms)
 

@@ -116,15 +116,15 @@ def fit_a1(series: DeltaSeries) -> A1Fit:
     """
     if len(series) < 4:
         raise ValueError(f"need at least 4 series entries, got {len(series)}")
-    m = np.asarray(series.m, dtype=float)
     d = np.asarray(series.delta, dtype=float)
+    m = np.arange(len(d), dtype=float)
     w = _weights(series)
 
     scale = max(np.abs(d).max(), 1e-300)
     if np.abs(d - d.mean()).max() <= 1e-10 * max(scale, 1.0):
         # constant series: the contraction ratio is unidentifiable
         mean = float(np.average(d, weights=w))
-        eps = recurrence_residual(series.m, d, 0.5, mean)
+        eps = recurrence_residual(d, 0.5, mean)
         return A1Fit(math.nan, mean, eps, 0.0, identifiable=False)
 
     # q = e**(ln_lo + u*step) at continuous node index u: Brent's absolute
@@ -154,7 +154,7 @@ def fit_a1(series: DeltaSeries) -> A1Fit:
             pass
     q_hat = math.exp(ln_lo + u_hat * step)
     _, delta_inf, amp = _ls_fit(q_hat, m, d, w)
-    eps = recurrence_residual(series.m, d, q_hat, delta_inf)
+    eps = recurrence_residual(d, q_hat, delta_inf)
     return A1Fit(q_hat, float(delta_inf), eps, float(amp), identifiable=True)
 
 
@@ -235,7 +235,7 @@ def classify(series: DeltaSeries, tol: float | None = None) -> A1Report:
     elif verdict == "a1-holds":
         law = law_from_deltas(delta_inf_hat + fit.amplitude, delta_inf_hat, beta_hat, series.k)
     return A1Report(beta_hat, delta_inf_hat, epsilon_hat, verdict, law,
-                    m_max=int(max(series.m)), series_digest=_digest(series))
+                    m_max=len(series) - 1, series_digest=_digest(series))
 
 
 def _with_logpoisson(report: A1Report, r: float) -> A1Report:

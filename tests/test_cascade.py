@@ -776,7 +776,7 @@ class TestEstimateDeltas:
         z = ZetaEstimate(p=np.array([6.0, 0.0, 12.0, 3.0]), zeta_hat=np.array([3.0, 0.0, 9.0, 1.0]),
                          se=se, cov=np.diag(se**2))
         series = estimate_deltas(z, 3)
-        assert series.m == (0, 1)
+        assert len(series) == 2
         assert series.delta == (1.0, 2.0)
         assert series.stderr == pytest.approx((0.3, 0.5), rel=1e-15)
 

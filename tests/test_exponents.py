@@ -18,9 +18,16 @@ from hscascade.exponents import (
     spectrum_width,
     zeta,
 )
-from hscascade.generators import LevyGenerator, delta_series_analytic
+from hscascade.generators import LevyGenerator, delta_series_analytic, logpoisson_from_scaling
+from hscascade.hausdorff import (
+    leak_perturbation,
+    pushforward_to_unit,
+    smear_perturbation,
+    split_perturbation,
+)
 
 SL = ScalingLaw(gamma=1.0 / 9.0, big_c=2.0, beta=2.0 / 3.0, k=3)
+LP = logpoisson_from_scaling(SL, 0.5)
 
 
 def random_law(rng):
@@ -32,43 +39,26 @@ def random_law(rng):
     )
 
 
-def pairwise_residual(m, d, beta, delta_inf):
-    """Reference: sup of |d_{m+1} - (1-beta)*delta_inf - beta*d_m| over m with m+1 present."""
-    idx = {mm: i for i, mm in enumerate(m)}
+def pairwise_residual(d, beta, delta_inf):
+    """Reference: sup of |d_{m+1} - (1-beta)*delta_inf - beta*d_m| over m = 0..len(d) - 2."""
     worst = 0.0
-    for mm, i in idx.items():
-        j = idx.get(mm + 1)
-        if j is not None:
-            worst = max(worst, abs(d[j] - (1.0 - beta) * delta_inf - beta * d[i]))
+    for m in range(len(d) - 1):
+        worst = max(worst, abs(d[m + 1] - (1.0 - beta) * delta_inf - beta * d[m]))
     return worst
 
 
 class TestRecurrenceResidual:
-    def test_gapped_orders_skip_the_gap(self):
-        d = [1.0, 0.5, 100.0, 0.3]
-        # pairs (0,1) and (3,4) only; the jump from m=1 to m=3 is ignored
-        got = recurrence_residual((0, 1, 3, 4), d, 0.5, 0.2)
-        assert got == max(abs(0.5 - 0.1 - 0.5), abs(0.3 - 0.1 - 50.0))
-        assert got == pairwise_residual((0, 1, 3, 4), d, 0.5, 0.2)
-
-    def test_no_consecutive_pair(self):
-        assert recurrence_residual((0, 2, 4), [1.0, 2.0, 3.0], 0.5, 0.0) == 0.0
-
     @given(
-        rest=st.sets(st.integers(1, 30), max_size=15),
-        data=st.data(),
+        d=st.lists(st.floats(-10.0, 10.0), max_size=30),
         beta=st.floats(0.01, 0.99),
         delta_inf=st.floats(-5.0, 5.0),
     )
-    def test_matches_pairwise_definition(self, rest, data, beta, delta_inf):
-        m = (0, *sorted(rest))
-        d = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=len(m), max_size=len(m)))
-        assert recurrence_residual(m, d, beta, delta_inf) == pairwise_residual(m, d, beta, delta_inf)
+    def test_matches_pairwise_definition(self, d, beta, delta_inf):
+        assert recurrence_residual(d, beta, delta_inf) == pairwise_residual(d, beta, delta_inf)
 
     def test_contraction_series_has_zero_residual(self):
-        ms = np.arange(12)
-        d = [delta(SL, 3.0 * m) for m in ms]
-        assert recurrence_residual(ms, d, SL.beta, SL.delta_inf) < 1e-15
+        d = [delta(SL, 3.0 * m) for m in range(12)]
+        assert recurrence_residual(d, SL.beta, SL.delta_inf) < 1e-15
 
 
 class TestZeta:
@@ -260,9 +250,13 @@ class TestTypes:
         calls = [
             lambda: CascadeParams(r=0.5, k=bad),
             lambda: ScalingLaw(gamma=0.1, big_c=1.0, beta=0.5, k=bad),
-            lambda: DeltaSeries(k=bad, m=(0, 1), delta=(1.0, 0.5)),
+            lambda: DeltaSeries(k=bad, delta=(1.0, 0.5)),
             lambda: delta_series_analytic(LevyGenerator(drift=-0.1), 0.5, bad, 6),
             lambda: estimate_deltas(z, bad),
+            lambda: split_perturbation(LP, bad, 0.1),
+            lambda: leak_perturbation(LP, bad, 0.3, 0.1),
+            lambda: smear_perturbation(LP, bad, 0.2),
+            lambda: pushforward_to_unit(LP, bad),
         ]
         for call in calls:
             with pytest.raises(ValueError, match="hierarchy step k must be a positive integer"):
@@ -296,18 +290,19 @@ class TestTypes:
         assert SL.a_constant(0.5) == pytest.approx((2.0 / 3.0) * math.log(0.5), abs=1e-12)
 
     def test_delta_series_validation(self):
-        DeltaSeries(k=1, m=(0, 1, 2), delta=(1.0, 0.5, 0.25))
+        DeltaSeries(k=1, delta=(1.0, 0.5, 0.25))
         with pytest.raises(ValueError):
-            DeltaSeries(k=1, m=(1, 2), delta=(1.0, 0.5))
+            DeltaSeries(k=1, delta=(1.0, math.inf))
         with pytest.raises(ValueError):
-            DeltaSeries(k=1, m=(0, 0), delta=(1.0, 0.5))
-        with pytest.raises(ValueError):
-            DeltaSeries(k=1, m=(0, 1), delta=(1.0, math.inf))
-        with pytest.raises(ValueError):
-            DeltaSeries(k=1, m=(0, 1), delta=(1.0, 0.5), stderr=(0.1,))
+            DeltaSeries(k=1, delta=(1.0, 0.5), stderr=(0.1,))
+
+    def test_delta_series_takes_no_order_index(self):
+        # a series is delta_0..delta_M: a gapped index such as m = 0, 2, 4, ... cannot be given
+        with pytest.raises(TypeError):
+            DeltaSeries(k=1, m=(0, 2, 4, 6, 8, 10), delta=(5.0, -3.0, 7.0, 0.2, 1.0, -1.0))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.01])
     def test_delta_series_rejects_bad_stderr(self, bad):
-        DeltaSeries(k=1, m=(0, 1), delta=(1.0, 0.5), stderr=(0.1, 0.0))
+        DeltaSeries(k=1, delta=(1.0, 0.5), stderr=(0.1, 0.0))
         with pytest.raises(ValueError, match="stderr entries must be finite and >= 0"):
-            DeltaSeries(k=1, m=(0, 1), delta=(1.0, 0.5), stderr=(0.1, bad))
+            DeltaSeries(k=1, delta=(1.0, 0.5), stderr=(0.1, bad))

@@ -32,7 +32,7 @@ def delta_series_exact(law: ScalingLaw, m_max: int) -> DeltaSeries:
     """delta_{m*k} for m = 0..m_max from the closed form."""
     ms = np.arange(m_max + 1)
     vals = law.delta_inf + (law.delta0 - law.delta_inf) * law.beta ** ms.astype(float)
-    return DeltaSeries(k=law.k, m=tuple(ms), delta=tuple(vals))
+    return DeltaSeries(k=law.k, delta=tuple(vals))
 
 
 def random_law(rng):
@@ -61,7 +61,7 @@ class TestFitA1:
             classify(series)
 
     def test_constant_series_flagged(self):
-        series = DeltaSeries(k=1, m=range(6), delta=[0.4] * 6)
+        series = DeltaSeries(k=1, delta=[0.4] * 6)
         fit = fit_a1(series)
         assert not fit.identifiable
         assert math.isnan(fit.beta_hat)
@@ -69,7 +69,7 @@ class TestFitA1:
         assert fit.epsilon_hat < 1e-15
 
     def test_affine_series_hits_contraction_boundary(self):
-        series = DeltaSeries(k=1, m=range(8), delta=[0.1 - 0.29 * m for m in range(8)])
+        series = DeltaSeries(k=1, delta=[0.1 - 0.29 * m for m in range(8)])
         fit = fit_a1(series)
         assert fit.beta_hat > 0.99  # slope fit ~1, outside the open interval
 
@@ -83,13 +83,13 @@ class TestFitA1:
 
     def test_needs_four_entries(self):
         with pytest.raises(ValueError):
-            fit_a1(DeltaSeries(k=1, m=(0, 1, 2), delta=(1.0, 0.5, 0.25)))
+            fit_a1(DeltaSeries(k=1, delta=(1.0, 0.5, 0.25)))
 
     def test_flat_bracket_keeps_grid_node(self):
         # weights spanning 15 decades leave the SSE flat to rounding around
         # the best grid node, so Brent's bracket check fails there
         series = DeltaSeries(
-            k=1, m=range(4),
+            k=1,
             delta=[-0.23999297111097942, -0.24001250098704602,
                    -0.2400300198860992, -0.24004573424882109],
             stderr=[1.0847405983358684, 4.439585321830548e-08,
@@ -103,8 +103,7 @@ class TestFitA1:
         exact = delta_series_exact(SL, 8)
         noisy = list(exact.delta)
         noisy[-1] += 0.5  # corrupt the least certain entry
-        series = DeltaSeries(k=3, m=exact.m, delta=noisy,
-                             stderr=[1e-6] * 8 + [10.0])
+        series = DeltaSeries(k=3, delta=noisy, stderr=[1e-6] * 8 + [10.0])
         fit = fit_a1(series)
         assert fit.beta_hat == pytest.approx(2.0 / 3.0, abs=1e-3)
 
@@ -116,14 +115,13 @@ class TestFitA1:
         # the weights are 1/se**2 up to one exact power of two, so a fit on errors scaled
         # by 2**-600, where se**2 underflows, is the same bytes
         d = [1.0, 0.78, 0.63, 0.53, 0.46, 0.43, 0.4]
-        fit = fit_a1(DeltaSeries(k=3, m=range(7), delta=d, stderr=se))
-        tiny = fit_a1(DeltaSeries(k=3, m=range(7), delta=d, stderr=[v * 2.0**-600 for v in se]))
+        fit = fit_a1(DeltaSeries(k=3, delta=d, stderr=se))
+        tiny = fit_a1(DeltaSeries(k=3, delta=d, stderr=[v * 2.0**-600 for v in se]))
         assert np.array(tiny).tobytes() == np.array(fit).tobytes()
 
     def test_tiny_errors_fit(self):
         # every se = 1e-200: 1/se**2 is beyond the float range, the scaled weights are not
-        series = DeltaSeries(k=3, m=SL_SERIES.m, delta=SL_SERIES.delta,
-                             stderr=[1e-200] * len(SL_SERIES))
+        series = DeltaSeries(k=3, delta=SL_SERIES.delta, stderr=[1e-200] * len(SL_SERIES))
         report = classify(series)
         assert report.verdict == "a1-holds"
         assert report.beta_hat == pytest.approx(2.0 / 3.0, abs=1e-8)
@@ -140,7 +138,7 @@ class TestFitA1:
         # pytest turns warnings into errors here: beside 5e-324 the other weights overflow
         # 1/se**2's square and become 0; beside 1e-116 the normal equations are singular
         # at some q, whose SSE is inf, and beside 1.5e-134 at a q Brent's refinement visits
-        series = DeltaSeries(k=3, m=range(len(delta)), delta=delta, stderr=se)
+        series = DeltaSeries(k=3, delta=delta, stderr=se)
         assert math.isfinite(fit_a1(series).epsilon_hat)
         assert classify(series).verdict == "other"
 
@@ -182,7 +180,7 @@ class TestClassify:
 
     def test_needs_five_entries(self):
         with pytest.raises(ValueError):
-            classify(DeltaSeries(k=1, m=range(4), delta=(1.0, 0.5, 0.25, 0.125)))
+            classify(DeltaSeries(k=1, delta=(1.0, 0.5, 0.25, 0.125)))
 
     @pytest.mark.parametrize("tol", [-1.0, -1e-12, math.nan])
     def test_rejects_negative_tolerance(self, tol):
@@ -205,7 +203,7 @@ class TestClassifyArms:
     """One test per arm of classify's decision, on the fields each arm sets."""
 
     def test_constant_arm(self):
-        report = classify(DeltaSeries(k=2, m=range(6), delta=[0.4] * 6))
+        report = classify(DeltaSeries(k=2, delta=[0.4] * 6))
         assert report.verdict == "monofractal"
         assert math.isnan(report.beta_hat)
         assert report.delta_inf_hat == pytest.approx(0.4)
@@ -215,7 +213,7 @@ class TestClassifyArms:
         assert report.law.k == 2
 
     def test_affine_arm(self):
-        report = classify(DeltaSeries(k=2, m=range(8), delta=[0.1 - 0.29 * m for m in range(8)]))
+        report = classify(DeltaSeries(k=2, delta=[0.1 - 0.29 * m for m in range(8)]))
         assert report.verdict == "affine-divergent"
         assert math.isnan(report.beta_hat)
         assert math.isnan(report.delta_inf_hat)
@@ -232,7 +230,7 @@ class TestClassifyArms:
 
     def test_fit_arm_tie_rule(self):
         # the fit passes at tol = 0.002, but its relaxation amplitude is below the tolerance
-        series = DeltaSeries(k=1, m=range(6), delta=(0.5, 0.5, 0.501, 0.503, 0.501, 0.5))
+        series = DeltaSeries(k=1, delta=(0.5, 0.5, 0.501, 0.503, 0.501, 0.5))
         report = classify(series, tol=0.002)
         assert report.verdict == "monofractal"
         assert report.beta_hat == pytest.approx(0.389, abs=1e-3)
@@ -243,7 +241,7 @@ class TestClassifyArms:
 
     def test_unidentifiable_fit_is_other(self):
         # a variation of 1e-13 is not constant at tol = 0, but fit_a1 calls it constant
-        series = DeltaSeries(k=1, m=range(8), delta=[0.4 + 1e-13 * (m % 2) for m in range(8)])
+        series = DeltaSeries(k=1, delta=[0.4 + 1e-13 * (m % 2) for m in range(8)])
         report = classify(series, tol=0.0)
         assert report.verdict == "other"
         assert math.isnan(report.beta_hat)
@@ -251,7 +249,7 @@ class TestClassifyArms:
         assert report.law is None
 
     def test_other_arm(self):
-        series = DeltaSeries(k=1, m=range(8), delta=[1.0, 0.3, 0.9, -0.2, 0.5, 0.1, 0.7, 0.0])
+        series = DeltaSeries(k=1, delta=[1.0, 0.3, 0.9, -0.2, 0.5, 0.1, 0.7, 0.0])
         report = classify(series)
         assert report.verdict == "other"
         assert 0.0 < report.beta_hat < 1.0
@@ -268,7 +266,7 @@ class TestClassifyArms:
     def test_increasing_fit_refuses_negative_concentration(self):
         series = delta_series_exact(SL, 10)
         with pytest.raises(ValueError, match="negative concentration"):
-            classify(DeltaSeries(k=3, m=series.m, delta=[-v for v in series.delta]))
+            classify(DeltaSeries(k=3, delta=[-v for v in series.delta]))
 
 
 def reference_classify(series, tol=None):
@@ -282,7 +280,7 @@ def reference_classify(series, tol=None):
     d = np.asarray(series.delta, dtype=float)
     scale = max(np.abs(d).max(), 1.0)
     digest = _digest(series)
-    m_max = int(max(series.m))
+    m_max = len(series) - 1
 
     if np.abs(d - d.mean()).max() <= tol * scale:
         return A1Report(
@@ -382,7 +380,7 @@ def delta_series(draw):
     noise = draw(st.sampled_from([0.0, 1e-13, 1e-9, 1e-5, 1e-3, 1e-1]))
     d = d + noise * np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
     stderr = draw(st.none() | st.lists(st.floats(0.0, 0.1), min_size=n, max_size=n))
-    return DeltaSeries(k=draw(st.integers(1, 4)), m=range(n), delta=d, stderr=stderr)
+    return DeltaSeries(k=draw(st.integers(1, 4)), delta=d, stderr=stderr)
 
 
 class TestClassifyMatchesReference:
